@@ -40,8 +40,6 @@ from markovjsr.linalg import (
     DEFAULT_REL_TOL,
     NormKind,
     block_norm,
-    kronecker,
-    mat_mul,
     operator_norm,
     spectral_radii,
     spectral_radius,
@@ -83,8 +81,6 @@ __all__ = [
     "enumerate_words",
     "NormKind",
     "DEFAULT_REL_TOL",
-    "mat_mul",
-    "kronecker",
     "operator_norm",
     "block_norm",
     "spectral_radius",

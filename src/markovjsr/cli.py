@@ -319,6 +319,8 @@ def _verify_text(report: dict):
 
 
 def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
+    """Every claimed entry must equal the exact lift entry or its rendering
+    at the 12 significant digits that `lift` prints; nothing in between."""
     import numpy as np
 
     claimed = load_instance(claimed_path)
@@ -327,9 +329,11 @@ def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
         return False
     if claimed.matrices.dim != lifted.blocks * lifted.block_dim:
         return False
+    round12 = np.vectorize(sig12, otypes=[float])
+    printed = (round12(want.real) + 1j * round12(want.imag) for want in lifted.members)
     return all(
-        np.allclose(have, want, rtol=0.0, atol=0.0)
-        for have, want in zip(claimed.matrices.members, lifted.members)
+        np.array_equal(have, np.where(have == want, want, shown))
+        for have, want, shown in zip(claimed.matrices.members, lifted.members, printed)
     )
 
 

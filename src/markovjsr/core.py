@@ -189,10 +189,6 @@ class TransitionMatrix:
         """True iff letter ``target`` may follow letter ``source``."""
         return bool(self.entries[target - 1, source - 1])
 
-    def has_continuation(self, letter: int) -> bool:
-        """True iff some letter may follow ``letter`` (nonzero column)."""
-        return bool(self.entries[:, letter - 1].any())
-
 
 def validate_instance(matrices: MatrixSet, omega: TransitionMatrix) -> tuple[MatrixSet, TransitionMatrix]:
     """Check that a family and a transition matrix form a coherent pair.
@@ -237,15 +233,12 @@ def surviving_nodes(omega: TransitionMatrix) -> frozenset[int]:
         alive = keep
 
 
-def has_arbitrarily_long_words(
-    omega: TransitionMatrix, word_class: WordClass = WordClass.CHAIN
-) -> bool:
-    """Whether words of the class occur at unboundedly large lengths.
+def has_arbitrarily_long_words(omega: TransitionMatrix) -> bool:
+    """Whether words occur at unboundedly large lengths, in any class.
 
     The answer does not depend on the class: a cycle in the transition
     digraph yields words of unbounded length in all four classes (going
     around the cycle a whole number of times closes periodically), while
     without a cycle no chain can be longer than the number of letters.
     """
-    del word_class  # class-independent by the cycle argument above
     return bool(surviving_nodes(omega))

@@ -18,6 +18,7 @@ both sides assign them the same product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,9 +27,17 @@ from markovjsr.core import (
     MatrixSet,
     TransitionMatrix,
     ValidationError,
+    WordClass,
 )
 from markovjsr.linalg import DEFAULT_REL_TOL, NormKind, operator_norm
-from markovjsr.radius import SandwichReport, _SpectralMax, sandwich
+from markovjsr.radius import (
+    BoundKind,
+    SandwichReport,
+    _Automaton,
+    _class_words,
+    _sweep,
+    sandwich,
+)
 
 __all__ = [
     "KStepConstraint",
@@ -117,6 +126,30 @@ def recode(constraint: KStepConstraint, matrices: MatrixSet) -> RecodedInstance:
     )
 
 
+def _window_automaton(constraint: KStepConstraint) -> _Automaton:
+    """The window rule over the original alphabet, for the product engine.
+
+    A word's state is its last k letters (all, while it is shorter); a
+    letter may follow when the state plus that letter is a prefix of an
+    allowed tuple.  Built without ``recode``, so the direct side of the
+    equivalence check stays independent.
+    """
+    k = constraint.k
+    prefixes = {t[:j] for t in constraint.allowed for j in range(1, k + 2)}
+    states = sorted({p[-k:] for p in prefixes})
+    index = {u: pos for pos, u in enumerate(states)}
+    letters = range(1, constraint.base_alphabet + 1)
+
+    def state_of(word: tuple[int, ...]) -> int:
+        return index[word[-k:]] if word in prefixes else -1
+
+    return _Automaton(
+        starts=np.array([state_of((c,)) for c in letters]),
+        step=np.array([[state_of(u + (c,)) for c in letters] for u in states]),
+        head=np.array([[u[j % len(u)] - 1 for j in range(k)] for u in states]),
+    )
+
+
 def window_words(constraint: KStepConstraint, n: int) -> Iterator[tuple[int, ...]]:
     """Length-n words (n >= k) admissible under the window rule and
     extendable by at least one further letter.
@@ -128,25 +161,7 @@ def window_words(constraint: KStepConstraint, n: int) -> Iterator[tuple[int, ...
     k = constraint.k
     if n < k:
         raise ValidationError(f"need word length >= {k}, got {n}")
-    prefixes = {t[:j] for t in constraint.allowed for j in range(k + 2)}
-    extendable = {t[:k] for t in constraint.allowed}
-
-    def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            if tuple(prefix[-k:]) in extendable:
-                yield tuple(prefix)
-            return
-        for letter in range(1, constraint.base_alphabet + 1):
-            prefix.append(letter)
-            if len(prefix) <= k + 1:
-                ok = tuple(prefix) in prefixes
-            else:
-                ok = tuple(prefix[-(k + 1):]) in constraint.allowed
-            if ok:
-                yield from walk(prefix)
-            prefix.pop()
-
-    yield from walk([])
+    yield from _class_words(_window_automaton(constraint), n, WordClass.MARKOV)
 
 
 def cyclic_words(constraint: KStepConstraint, period: int) -> Iterator[tuple[int, ...]]:
@@ -157,28 +172,9 @@ def cyclic_words(constraint: KStepConstraint, period: int) -> Iterator[tuple[int
     """
     if period < 1:
         raise ValidationError(f"period must be positive, got {period}")
-    k = constraint.k
-
-    def wraps_ok(word: tuple[int, ...]) -> bool:
-        return all(
-            tuple(word[(j + t) % period] for t in range(k + 1)) in constraint.allowed
-            for j in range(period)
-        )
-
-    def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == period:
-            word = tuple(prefix)
-            if wraps_ok(word):
-                yield word
-            return
-        for letter in range(1, constraint.base_alphabet + 1):
-            prefix.append(letter)
-            # non-wrapping windows can be pruned as soon as they complete
-            if len(prefix) <= k or tuple(prefix[-(k + 1):]) in constraint.allowed:
-                yield from walk(prefix)
-            prefix.pop()
-
-    yield from walk([])
+    yield from _class_words(
+        _window_automaton(constraint), period, WordClass.PERIODICALLY_EXTENDABLE
+    )
 
 
 def original_to_recoded(
@@ -259,62 +255,32 @@ class KStepEquivalenceReport:
         )
 
 
-def _direct_upper(
+def _direct_bounds(
     constraint: KStepConstraint,
     matrices: MatrixSet,
-    n: int,
+    n_max: int,
     norm: NormKind,
-) -> float:
-    """sup ||product||^(1/n) over window-admissible extendable words."""
-    k = constraint.k
-    members = matrices.members
-    allowed = constraint.allowed
-    extendable = {t[:k] for t in allowed}
-    prefixes = {t[:j] for t in allowed for j in range(k + 2)}
-    best = 0.0
-
-    def walk(prefix: list[int], product) -> None:
-        nonlocal best
-        if len(prefix) == n:
-            if tuple(prefix[-k:]) in extendable:
-                v = operator_norm(product, norm)
-                if v > best:
-                    best = v
-            return
-        for letter in range(1, constraint.base_alphabet + 1):
-            prefix.append(letter)
-            if len(prefix) <= k + 1:
-                ok = tuple(prefix) in prefixes
-            else:
-                ok = tuple(prefix[-(k + 1):]) in allowed
-            if ok:
-                walk(prefix, members[letter - 1] @ product)
-            prefix.pop()
-
-    eye = np.eye(matrices.dim, dtype=members[0].dtype)
-    walk([], eye)
-    return 0.0 if best == 0.0 else best ** (1.0 / n)
-
-
-def _direct_lower(
-    constraint: KStepConstraint,
-    matrices: MatrixSet,
-    period: int,
     rel_tol: float,
-) -> float:
-    """sup rho(product)^(1/period) over cyclically admissible words."""
-    members = matrices.members
-    acc = _SpectralMax(rel_tol)
-    empty = True
-    for word in cyclic_words(constraint, period):
-        empty = False
-        product = members[word[0] - 1]
-        for letter in word[1:]:
-            product = members[letter - 1] @ product
-        acc.add(product)
-    if empty:
-        return 0.0
-    return acc.flush() ** (1.0 / period)
+) -> tuple[list[float], list[float]]:
+    """Brute-force bounds on the original alphabet for m = 1..n_max.
+
+    Upper: sup ||product||^(1/n) over window-admissible extendable words
+    of length n = m + k - 1.  Lower: sup rho(product)^(1/m) over
+    cyclically admissible words of period m.  One expansion serves both.
+    """
+    k = constraint.k
+    sweep = _sweep(
+        _window_automaton(constraint), np.stack(matrices.members), n_max + k - 1,
+        partial(operator_norm, kind=norm), WordClass.PERIODICALLY_EXTENDABLE,
+        range(1, n_max + 1), rel_tol,
+    )
+    lengths = range(1, n_max + 1)
+    upper = [sweep.point(m + k - 1, WordClass.MARKOV, BoundKind.NORM).value for m in lengths]
+    lower = [
+        sweep.point(m, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL).value
+        for m in lengths
+    ]
+    return upper, lower
 
 
 def radius_equivalence_check(
@@ -334,23 +300,18 @@ def radius_equivalence_check(
     upper_by_n = {p.n: p.value for p in report.upper_points()}
     lower_by_n = {p.n: p.value for p in report.lower_points()}
     k = constraint.k
-    rows = []
-    direct_uppers = []
-    direct_lowers = []
-    for m in range(1, n_max + 1):
-        n = m + k - 1
-        du = _direct_upper(constraint, matrices, n, norm)
-        dl = _direct_lower(constraint, matrices, m, rel_tol)
-        direct_uppers.append(du)
-        direct_lowers.append(dl)
-        rows.append(EquivalenceRow(
+    direct_uppers, direct_lowers = _direct_bounds(constraint, matrices, n_max, norm, rel_tol)
+    rows = [
+        EquivalenceRow(
             recoded_length=m,
-            original_length=n,
+            original_length=m + k - 1,
             recoded_upper=upper_by_n[m],
             direct_upper=du,
             recoded_lower=lower_by_n[m],
             direct_lower=dl,
-        ))
+        )
+        for m, du, dl in zip(range(1, n_max + 1), direct_uppers, direct_lowers)
+    ]
     best_upper_direct = min(direct_uppers)
     best_lower_direct = max(direct_lowers)
     alpha = max(operator_norm(m, norm) for m in matrices.members)

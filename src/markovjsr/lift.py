@@ -25,7 +25,6 @@ from markovjsr.core import (
     validate_instance,
     validate_word,
 )
-from markovjsr.linalg import kronecker
 
 __all__ = [
     "LiftedSet",
@@ -88,7 +87,7 @@ def lift_set(matrices: MatrixSet, omega: TransitionMatrix) -> LiftedSet:
     validate_instance(matrices, omega)
     factors = tuple(omega_factor(omega, i) for i in range(1, matrices.size + 1))
     members = tuple(
-        kronecker(factor, base)
+        np.kron(factor, base)
         for factor, base in zip(factors, matrices.members)
     )
     return LiftedSet(

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: products, Kronecker products, norms, spectral radius.
+"""Dense matrix kernels: norms and spectral radii, one matrix or a stack at a time.
 
 Every norm offered here is sub-multiplicative, so each one is a legal
 choice for the norm-based growth bounds; ROWSUM is the default throughout
@@ -19,8 +19,6 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "ZERO_SNAP",
     "MAX_SQUARINGS",
-    "mat_mul",
-    "kronecker",
     "operator_norm",
     "block_norm",
     "spectral_radius",
@@ -42,32 +40,21 @@ class NormKind(Enum):
     FROBENIUS = "frobenius"  # Euclidean norm of the entries
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with an explicit conformance check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError(f"mat_mul needs 2-d operands, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
+def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float | np.ndarray:
+    """Matrix norm of the requested kind; entry moduli are used throughout.
 
-
-def kronecker(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is p[i, j] * q."""
-    return np.kron(np.asarray(p), np.asarray(q))
-
-
-def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float:
-    """Matrix norm of the requested kind; entry moduli are used throughout."""
+    A single matrix gives a float; a stack of shape (..., d, d) gives an
+    array with one norm per matrix, each computed exactly as for a single
+    matrix.
+    """
     a = np.abs(np.asarray(m))
     if kind is NormKind.ROWSUM:
-        return float(a.sum(axis=1).max())
-    if kind is NormKind.COLSUM:
-        return float(a.sum(axis=0).max())
-    return float(np.sqrt((a * a).sum()))
+        out = a.sum(axis=-1).max(axis=-1)
+    elif kind is NormKind.COLSUM:
+        out = a.sum(axis=-2).max(axis=-1)
+    else:
+        out = np.sqrt((a * a).reshape(*a.shape[:-2], -1).sum(axis=-1))
+    return float(out) if a.ndim == 2 else out
 
 
 def block_norm(
@@ -75,28 +62,30 @@ def block_norm(
     blocks: int,
     block_dim: int,
     inner: NormKind = NormKind.ROWSUM,
-) -> float:
+) -> float | np.ndarray:
     """Max over block rows of the summed inner norms of the blocks.
 
     For an (N*d) x (N*d) matrix viewed as N x N blocks of size d, this is
     max_i sum_j ||m_ij||; it is sub-multiplicative whenever the inner norm
-    is, by the triangle inequality applied blockwise.
+    is, by the triangle inequality applied blockwise.  Like operator_norm,
+    a stack of matrices gives an array of norms.
     """
     arr = np.asarray(m)
     n = blocks * block_dim
-    if arr.shape != (n, n):
+    if arr.ndim < 2 or arr.shape[-2:] != (n, n):
         raise ValidationError(
             f"matrix of shape {arr.shape} does not split into {blocks}x{blocks} "
             f"blocks of dimension {block_dim}"
         )
-    quads = np.abs(arr.reshape(blocks, block_dim, blocks, block_dim))
+    quads = np.abs(arr.reshape(*arr.shape[:-2], blocks, block_dim, blocks, block_dim))
     if inner is NormKind.ROWSUM:
-        per_block = quads.sum(axis=3).max(axis=1)
+        per_block = quads.sum(axis=-1).max(axis=-2)
     elif inner is NormKind.COLSUM:
-        per_block = quads.sum(axis=1).max(axis=2)
+        per_block = quads.sum(axis=-3).max(axis=-1)
     else:
-        per_block = np.sqrt((quads * quads).sum(axis=(1, 3)))
-    return float(per_block.sum(axis=1).max())
+        per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
+    out = per_block.sum(axis=-1).max(axis=-1)
+    return float(out) if arr.ndim == 2 else out
 
 
 def _stack_norms(stack: np.ndarray) -> np.ndarray:

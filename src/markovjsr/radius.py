@@ -9,13 +9,25 @@ of a class, and the spectral bound is sup rho(product)^(1/n); the
 supremum over an empty word set is 0 by convention, with the emptiness
 recorded separately so that "0 because no words" and "0 because all
 products vanish" stay distinguishable.
+
+Every supremum comes from one product engine.  ``_expand`` walks the
+words of an automaton (the state of a word is its last letter, or its
+last k letters under an order-k rule) depth-first over chunks: a chunk's
+children are one ``np.matmul(A[letter], P[parent])``, parent-major with
+letters ascending, so each length comes out in lexicographic order, and
+parents are sliced so that a chunk holds about ``_CHUNK_BYTES`` of
+products.  ``_sweep`` takes from that single pass the counts and norm
+suprema of every length and class (class membership is a vector mask on
+each word's first and last state) and the spectral suprema of one class,
+fed to the kernel through one buffer tagged by length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,7 +51,6 @@ from markovjsr.linalg import (
     operator_norm,
     spectral_radii,
 )
-from markovjsr.words import TransitionDigraph, classify, enumerate_words
 
 __all__ = [
     "BoundKind",
@@ -62,9 +73,16 @@ __all__ = [
     "full_verification",
 ]
 
-# Word products buffered per vectorized spectral-radius call; keeps the
-# streams lazy while amortizing the iteration over many small matrices.
-SPECTRAL_CHUNK = 2048
+# A frontier chunk holds about _CHUNK_BYTES of products, that is
+# _CHUNK_BYTES // (d*d*itemsize) words, but never fewer than
+# _MIN_CHUNK_ROWS: every numpy call has a fixed cost.  The spectral kernel
+# gets _KERNEL_CHUNKS chunks' worth of products per call.
+_CHUNK_BYTES = 1 << 15
+_MIN_CHUNK_ROWS = 32
+_KERNEL_CHUNKS = 8
+
+# The class-chain view, weakest-class last.
+_CHAIN_ORDER = tuple(sorted(WordClass, key=lambda c: -c.strictness))
 
 
 class BoundKind(Enum):
@@ -99,97 +117,212 @@ def _check_length(n: int) -> None:
         raise ValidationError(f"word length must be positive, got {n}")
 
 
-def _word_products(
-    members: Sequence[np.ndarray],
-    successors: Sequence[Sequence[int]],
-    n: int,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (first, last, product) over chain words in lexicographic order.
+class _Automaton:
+    """Which letter may extend a word, decided by the word's state.
 
-    Depth-first with one left-multiplication per tree node, so shared
-    prefixes share their partial products.
+    Letters and states are 0-based; ``starts[c]`` is the state of the word
+    (c,) and ``step[s, c]`` the state after appending c to a word in state
+    s, with -1 where c may not start or follow.  A word's first state is
+    its state after ``head.shape[1]`` letters (or all, if it is shorter);
+    it is periodically extendable iff the letters ``head[first state]``
+    that open its periodic repetition may follow it.
     """
-    size = len(members)
 
-    def walk(first: int, last: int, depth: int, product: np.ndarray):
-        if depth == n:
-            yield first, last, product
-            return
-        for nxt in successors[last - 1]:
-            yield from walk(first, nxt, depth + 1, members[nxt - 1] @ product)
+    def __init__(self, starts: np.ndarray, step: np.ndarray, head: np.ndarray):
+        self.starts, self.step, self.head = starts, step, head
+        self.allowed = step >= 0
+        self.width = max(1, int(self.allowed.sum(axis=1).max()))
+        self.has_out = alive = self.allowed.any(axis=1)
+        # states with an infinite walk: the greatest set closed under some step
+        while not np.array_equal(alive, more := (self.allowed & alive[step]).any(axis=1)):
+            alive = more
+        self.alive = alive
 
-    for start in range(1, size + 1):
-        yield from walk(start, start, 1, members[start - 1])
+    @classmethod
+    def from_omega(cls, omega: TransitionMatrix) -> "_Automaton":
+        """States are letters; letter i may follow j iff omega[i, j] is 1."""
+        letters = np.arange(omega.size)
+        return cls(letters, np.where(omega.entries.T == 1, letters, -1), letters[:, None])
 
-
-class _SpectralMax:
-    """Running maximum of spectral radii over a stream of products."""
-
-    def __init__(self, rel_tol: float):
-        self.rel_tol = rel_tol
-        self.buffer: list[np.ndarray] = []
-        self.best = 0.0
-
-    def add(self, product: np.ndarray) -> None:
-        self.buffer.append(product)
-        if len(self.buffer) >= SPECTRAL_CHUNK:
-            self.flush()
-
-    def flush(self) -> float:
-        if self.buffer:
-            radii = spectral_radii(np.stack(self.buffer), rel_tol=self.rel_tol)
-            self.best = max(self.best, float(radii.max()))
-            self.buffer.clear()
-        return self.best
+    def classes(self, first: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """(W, 4) class membership of chain words, columns by strictness."""
+        closing = state
+        for letter in self.head[first].T:
+            closing = np.where(closing >= 0, self.step[closing, letter], -1)
+        chain = np.ones(state.shape, dtype=bool)
+        return np.stack((chain, self.has_out[state], self.alive[state], closing >= 0), axis=1)
 
 
-@dataclass
-class _LengthSweep:
-    """Per-class accumulators from one pass over the chain words of a length."""
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """Words of one length in lexicographic order, with their products."""
 
-    counts: dict
-    norm_sup: dict
-    spectral_sup: dict
+    n: int
+    first: np.ndarray               # (W,) first states
+    state: np.ndarray               # (W,) states
+    products: np.ndarray | None     # (W, d, d)
+    words: np.ndarray | None        # (W, n) 0-based letters
 
 
-def _sweep_length(
-    matrices: MatrixSet,
-    omega: TransitionMatrix,
-    n: int,
-    norm: NormKind,
-    spectral_classes: tuple[WordClass, ...] = (),
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> _LengthSweep:
-    """Walk the chain words of length n once, accumulating every class.
+def _children(
+    automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, lo: int, hi: int
+) -> _Chunk:
+    """The extensions by one letter of words lo..hi-1 of a chunk."""
+    parent, letter = np.nonzero(automaton.allowed[chunk.state[lo:hi]])
+    parent += lo
+    state = automaton.step[chunk.state[parent], letter]
+    return _Chunk(
+        n=chunk.n + 1,
+        first=state if chunk.n < automaton.head.shape[1] else chunk.first[parent],
+        state=state,
+        products=None if members is None else np.matmul(members[letter], chunk.products[parent]),
+        words=None if chunk.words is None else np.column_stack((chunk.words[parent], letter)),
+    )
 
-    Membership of each word in the stronger classes is an O(1) check on
-    its first and last letters, so a single pass serves all four norm
-    suprema; spectral radii are computed in batches for the requested
-    classes only.
+
+def _chunk_rows(row_bytes: int) -> int:
+    return max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // row_bytes)
+
+
+def _expand(
+    automaton: _Automaton, members: np.ndarray | None, n_max: int, words: bool = False
+) -> Iterator[_Chunk]:
+    """Every word of lengths 1..n_max, chunk by chunk, depth-first.
+
+    ``members`` is the (L, d, d) stack of letter matrices, or None to form
+    no products; ``words`` keeps the letters.  Each chunk is followed by
+    the subtrees of its slices, so every length arrives in lexicographic
+    order.  The walk keeps an explicit stack of (chunk, next slice), one
+    entry per length, so n_max is not bounded by the recursion limit.
     """
-    dg = TransitionDigraph.from_omega(omega)
-    counts = {c: 0 for c in WordClass}
-    norm_sup = {c: 0.0 for c in WordClass}
-    spectral = {c: _SpectralMax(rel_tol) for c in spectral_classes}
-    for first, last, product in _word_products(matrices.members, dg.successors, n):
-        value = operator_norm(product, norm)
-        membership = (
-            (WordClass.CHAIN, True),
-            (WordClass.MARKOV, dg.has_out_edge[last - 1]),
-            (WordClass.INFINITELY_EXTENDABLE, dg.can_reach_cycle[last - 1]),
-            (WordClass.PERIODICALLY_EXTENDABLE, omega.allows(last, first)),
+    row_bytes = (0 if members is None else members[0].nbytes) + (8 * n_max if words else 0)
+    per_parent = max(1, _chunk_rows(row_bytes) // automaton.width)
+    letters = np.flatnonzero(automaton.starts >= 0)
+    state = automaton.starts[letters]
+    root = _Chunk(
+        1, state, state,
+        None if members is None else members[letters],
+        letters[:, None] if words else None,
+    )
+    if not len(state):
+        return
+    yield root
+    stack = [(root, 0)]
+    while stack:
+        chunk, lo = stack.pop()
+        if chunk.n == n_max or lo >= len(chunk.state):
+            continue
+        stack.append((chunk, lo + per_parent))
+        child = _children(automaton, members, chunk, lo, lo + per_parent)
+        if len(child.state):
+            yield child
+            stack.append((child, 0))
+
+
+def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:
+    """The length-n words of a class as 1-based tuples, lexicographically."""
+    for chunk in _expand(automaton, None, n, words=True):
+        if chunk.n == n:
+            keep = automaton.classes(chunk.first, chunk.state)[:, word_class.strictness]
+            yield from map(tuple, (chunk.words[keep] + 1).tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """Word counts and suprema by length (rows; row 0 unused) and class
+    (columns, in WordClass.strictness order)."""
+
+    counts: np.ndarray
+    norm_sup: np.ndarray
+    spectral_sup: np.ndarray
+
+    def point(self, n: int, word_class: WordClass, kind: BoundKind) -> BoundSequencePoint:
+        column = word_class.strictness
+        empty = bool(self.counts[n, column] == 0)
+        sup = self.norm_sup if kind is BoundKind.NORM else self.spectral_sup
+        return BoundSequencePoint(
+            n=n, value=0.0 if empty else float(sup[n, column]) ** (1.0 / n), kind=kind,
+            word_class=word_class, lifted=False, empty_word_set=empty,
         )
-        for cls, member in membership:
-            if member:
-                counts[cls] += 1
-                if value > norm_sup[cls]:
-                    norm_sup[cls] = value
-                if cls in spectral:
-                    spectral[cls].add(product)
-    return _LengthSweep(
-        counts=counts,
-        norm_sup=norm_sup,
-        spectral_sup={c: acc.flush() for c, acc in spectral.items()},
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"non-finite {what}: the matrix products overflow at this scale")
+
+
+def _sweep(
+    automaton: _Automaton,
+    members: np.ndarray,
+    n_max: int,
+    norm_of: Callable[[np.ndarray], np.ndarray],
+    spectral: WordClass | None = None,
+    spectral_lengths: range | None = None,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> _Sweep:
+    """One expansion to n_max: counts and norm suprema of every length and
+    class, and the spectral suprema of the class ``spectral`` at
+    ``spectral_lengths`` (default: every length)."""
+    shape = (n_max + 1, len(WordClass))
+    counts = np.zeros(shape, dtype=np.int64)
+    norm_sup, spectral_sup = np.zeros(shape), np.zeros(shape)
+    if spectral_lengths is None:
+        spectral_lengths = range(1, n_max + 1)
+    rows = _KERNEL_CHUNKS * _chunk_rows(members[0].nbytes)
+    buffer = None if spectral is None else np.empty((rows, *members.shape[1:]), members.dtype)
+    tags = np.empty(rows, dtype=np.intp)
+    fill = 0
+
+    def flush() -> None:
+        nonlocal fill
+        radii = spectral_radii(buffer[:fill], rel_tol=rel_tol)
+        _require_finite(radii, "spectral radius")
+        np.maximum.at(spectral_sup[:, spectral.strictness], tags[:fill], radii)
+        fill = 0
+
+    # overflow is reported as a ValidationError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in _expand(automaton, members, n_max):
+            n = chunk.n
+            member = automaton.classes(chunk.first, chunk.state)
+            counts[n] += member.sum(axis=0)
+            norms = norm_of(chunk.products)
+            _require_finite(norms, f"product norm at word length {n}")
+            by_class = np.where(member, norms[:, None], 0.0).max(axis=0)
+            norm_sup[n] = np.maximum(norm_sup[n], by_class)
+            if spectral is None or n not in spectral_lengths:
+                continue
+            chosen = chunk.products[member[:, spectral.strictness]]
+            while len(chosen):
+                take = min(rows - fill, len(chosen))
+                buffer[fill:fill + take], tags[fill:fill + take] = chosen[:take], n
+                fill += take
+                chosen = chosen[take:]
+                if fill == rows:
+                    flush()
+    if fill:
+        flush()
+    return _Sweep(counts=counts, norm_sup=norm_sup, spectral_sup=spectral_sup)
+
+
+def _constrained_sweep(
+    matrices: MatrixSet, omega: TransitionMatrix, n_max: int, norm: NormKind, **spectral
+) -> _Sweep:
+    """_sweep over the chain words of a transition matrix."""
+    return _sweep(
+        _Automaton.from_omega(omega), np.stack(matrices.members), n_max,
+        partial(operator_norm, kind=norm), **spectral,
+    )
+
+
+def _lifted_sweep(lifted: LiftedSet, n_max: int, norm: NormKind, **spectral) -> _Sweep:
+    """_sweep over every word of the complete alphabet on the lifted family,
+    with block norms: the dense oracle of the lift equalities."""
+    return _sweep(
+        _Automaton.from_omega(TransitionMatrix.complete(lifted.blocks)),
+        np.stack(lifted.members), n_max,
+        partial(block_norm, blocks=lifted.blocks, block_dim=lifted.block_dim, inner=norm),
+        **spectral,
     )
 
 
@@ -203,13 +336,7 @@ def rho_n(
     """Norm bound: sup over length-n words of the class of ||product||^(1/n)."""
     validate_instance(matrices, omega)
     _check_length(n)
-    sweep = _sweep_length(matrices, omega, n, norm)
-    empty = sweep.counts[word_class] == 0
-    value = 0.0 if empty else sweep.norm_sup[word_class] ** (1.0 / n)
-    return BoundSequencePoint(
-        n=n, value=value, kind=BoundKind.NORM, word_class=word_class,
-        lifted=False, empty_word_set=empty,
-    )
+    return _constrained_sweep(matrices, omega, n, norm).point(n, word_class, BoundKind.NORM)
 
 
 def rho_hat_n(
@@ -226,18 +353,11 @@ def rho_hat_n(
     """
     validate_instance(matrices, omega)
     _check_length(n)
-    sweep = _sweep_length(matrices, omega, n, NormKind.ROWSUM, (word_class,), rel_tol)
-    empty = sweep.counts[word_class] == 0
-    value = 0.0 if empty else sweep.spectral_sup[word_class] ** (1.0 / n)
-    return BoundSequencePoint(
-        n=n, value=value, kind=BoundKind.SPECTRAL, word_class=word_class,
-        lifted=False, empty_word_set=empty,
+    sweep = _constrained_sweep(
+        matrices, omega, n, NormKind.ROWSUM,
+        spectral=word_class, spectral_lengths=range(n, n + 1), rel_tol=rel_tol,
     )
-
-
-def _free_successors(size: int) -> tuple[tuple[int, ...], ...]:
-    everyone = tuple(range(1, size + 1))
-    return tuple(everyone for _ in range(size))
+    return sweep.point(n, word_class, BoundKind.SPECTRAL)
 
 
 def rho_n_lifted(
@@ -257,16 +377,9 @@ def rho_n_lifted(
     """
     _check_length(n)
     if engine == "structured":
-        base_point = rho_n(lifted.base, lifted.omega, n, WordClass.MARKOV, norm)
-        value = base_point.value
+        value = rho_n(lifted.base, lifted.omega, n, WordClass.MARKOV, norm).value
     elif engine == "dense":
-        best = 0.0
-        free = _free_successors(lifted.blocks)
-        for _, _, product in _word_products(lifted.members, free, n):
-            v = block_norm(product, lifted.blocks, lifted.block_dim, norm)
-            if v > best:
-                best = v
-        value = best ** (1.0 / n)
+        value = _lifted_sweep(lifted, n, norm).point(n, WordClass.CHAIN, BoundKind.NORM).value
     else:
         raise ValidationError(f"unknown product engine {engine!r}")
     return BoundSequencePoint(
@@ -289,16 +402,15 @@ def rho_hat_n_lifted(
     """
     _check_length(n)
     if engine == "structured":
-        base_point = rho_hat_n(
+        value = rho_hat_n(
             lifted.base, lifted.omega, n, WordClass.PERIODICALLY_EXTENDABLE, rel_tol
-        )
-        value = base_point.value
+        ).value
     elif engine == "dense":
-        acc = _SpectralMax(rel_tol)
-        free = _free_successors(lifted.blocks)
-        for _, _, product in _word_products(lifted.members, free, n):
-            acc.add(product)
-        value = acc.flush() ** (1.0 / n)
+        sweep = _lifted_sweep(
+            lifted, n, NormKind.ROWSUM,
+            spectral=WordClass.CHAIN, spectral_lengths=range(n, n + 1), rel_tol=rel_tol,
+        )
+        value = sweep.point(n, WordClass.CHAIN, BoundKind.SPECTRAL).value
     else:
         raise ValidationError(f"unknown product engine {engine!r}")
     return BoundSequencePoint(
@@ -367,14 +479,28 @@ def verify_lift_equalities(
     """
     validate_instance(matrices, omega)
     _check_length(n)
-    lifted = lift_set(matrices, omega)
+    only_n = {"spectral_lengths": range(n, n + 1), "rel_tol": rel_tol}
+    return _equality_check(
+        n,
+        _constrained_sweep(
+            matrices, omega, n, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, **only_n
+        ),
+        _lifted_sweep(lift_set(matrices, omega), n, norm, spectral=WordClass.CHAIN, **only_n),
+        norm_tol,
+        spectral_tol,
+    )
+
+
+def _equality_check(
+    n: int, constrained: _Sweep, lifted: _Sweep, norm_tol: float, spectral_tol: float
+) -> LiftEqualityCheck:
     return LiftEqualityCheck(
         n=n,
-        norm_lifted=rho_n_lifted(lifted, n, norm, engine="dense").value,
-        norm_constrained=rho_n(matrices, omega, n, WordClass.MARKOV, norm).value,
-        spectral_lifted=rho_hat_n_lifted(lifted, n, engine="dense", rel_tol=rel_tol).value,
-        spectral_periodic=rho_hat_n(
-            matrices, omega, n, WordClass.PERIODICALLY_EXTENDABLE, rel_tol
+        norm_lifted=lifted.point(n, WordClass.CHAIN, BoundKind.NORM).value,
+        norm_constrained=constrained.point(n, WordClass.MARKOV, BoundKind.NORM).value,
+        spectral_lifted=lifted.point(n, WordClass.CHAIN, BoundKind.SPECTRAL).value,
+        spectral_periodic=constrained.point(
+            n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL
         ).value,
         norm_tol=norm_tol,
         spectral_tol=spectral_tol,
@@ -446,8 +572,10 @@ def sandwich(
     Upper side: norm bounds over the admissible class (by default); lower
     side: spectral bounds over periodically extendable words.  Every
     report also carries the per-length chain-class cross bound.  A lower
-    aggregate exceeding the upper one (beyond iteration noise) cannot
-    happen mathematically and raises RuntimeError.
+    aggregate exceeding the upper one by more than a relative 1e-9
+    cannot happen in exact arithmetic, only through rounding (products
+    that underflow, for one), and raises ValidationError, as do products
+    that overflow.
 
     upper_class may be CHAIN, MARKOV, or INFINITELY_EXTENDABLE: those word
     sets split under concatenation, so their running minimum certifiably
@@ -464,61 +592,44 @@ def sandwich(
             "lengths and cannot serve as upper bounds; tabulate them with the "
             "class-chain view instead"
         )
-    points: list[BoundSequencePoint] = []
-    upper_vals: list[float] = []
-    lower_vals: list[float] = []
-    markov_vals: list[float] = []
-    chain_vals: list[float] = []
-    for n in range(1, n_max + 1):
-        sweep = _sweep_length(
-            matrices, omega, n, norm,
-            (WordClass.PERIODICALLY_EXTENDABLE,), rel_tol,
-        )
-        up_empty = sweep.counts[upper_class] == 0
-        up_val = 0.0 if up_empty else sweep.norm_sup[upper_class] ** (1.0 / n)
-        lo_empty = sweep.counts[WordClass.PERIODICALLY_EXTENDABLE] == 0
-        lo_val = (
-            0.0 if lo_empty
-            else sweep.spectral_sup[WordClass.PERIODICALLY_EXTENDABLE] ** (1.0 / n)
-        )
-        points.append(BoundSequencePoint(
-            n=n, value=up_val, kind=BoundKind.NORM, word_class=upper_class,
-            lifted=False, empty_word_set=up_empty,
-        ))
-        points.append(BoundSequencePoint(
-            n=n, value=lo_val, kind=BoundKind.SPECTRAL,
-            word_class=WordClass.PERIODICALLY_EXTENDABLE,
-            lifted=False, empty_word_set=lo_empty,
-        ))
-        upper_vals.append(up_val)
-        lower_vals.append(lo_val)
-        markov_vals.append(
-            0.0 if sweep.counts[WordClass.MARKOV] == 0
-            else sweep.norm_sup[WordClass.MARKOV] ** (1.0 / n)
-        )
-        chain_vals.append(
-            0.0 if sweep.counts[WordClass.CHAIN] == 0
-            else sweep.norm_sup[WordClass.CHAIN] ** (1.0 / n)
-        )
+    sweep = _constrained_sweep(
+        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, rel_tol=rel_tol
+    )
+    return _sandwich_report(sweep, matrices, n_max, norm, upper_class)
+
+
+def _sandwich_report(
+    sweep: _Sweep, matrices: MatrixSet, n_max: int, norm: NormKind, upper_class: WordClass
+) -> SandwichReport:
+    lengths = range(1, n_max + 1)
+    upper = [sweep.point(n, upper_class, BoundKind.NORM) for n in lengths]
+    lower = [
+        sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL)
+        for n in lengths
+    ]
     alpha = max(operator_norm(m, norm) for m in matrices.members)
     cross = tuple(
         CrossBound(
             n=n,
-            chain_value=chain_vals[n - 1],
-            cap=alpha ** (1.0 / n) * markov_vals[n - 2] ** ((n - 1.0) / n),
+            chain_value=sweep.point(n, WordClass.CHAIN, BoundKind.NORM).value,
+            cap=alpha ** (1.0 / n)
+            * sweep.point(n - 1, WordClass.MARKOV, BoundKind.NORM).value ** ((n - 1.0) / n),
         )
         for n in range(2, n_max + 1)
     )
+    upper_vals = [p.value for p in upper]
+    lower_vals = [p.value for p in lower]
     best_upper = min(upper_vals)
     best_upper_n = upper_vals.index(best_upper) + 1
     best_lower = max(lower_vals)
     best_lower_n = lower_vals.index(best_lower) + 1
-    if best_lower > best_upper + 1e-9 * (1.0 + abs(best_upper)):
-        raise RuntimeError(
-            f"sandwich violated: lower bound {best_lower} exceeds upper bound {best_upper}"
+    if best_lower > best_upper * (1.0 + 1e-9):
+        raise ValidationError(
+            f"sandwich inverted: lower bound {best_lower} exceeds upper bound "
+            f"{best_upper}; matrix products that underflow at this scale do this"
         )
     return SandwichReport(
-        points=tuple(points),
+        points=tuple(p for pair in zip(upper, lower) for p in pair),
         best_lower=best_lower,
         best_lower_n=best_lower_n,
         best_upper=best_upper,
@@ -558,24 +669,11 @@ def alternative_class_chain(
     """
     validate_instance(matrices, omega)
     _check_length(n)
-    sweep = _sweep_length(matrices, omega, n, norm)
-    ordered = (
-        WordClass.PERIODICALLY_EXTENDABLE,
-        WordClass.INFINITELY_EXTENDABLE,
-        WordClass.MARKOV,
-        WordClass.CHAIN,
-    )
-    return tuple(
-        BoundSequencePoint(
-            n=n,
-            value=0.0 if sweep.counts[cls] == 0 else sweep.norm_sup[cls] ** (1.0 / n),
-            kind=BoundKind.NORM,
-            word_class=cls,
-            lifted=False,
-            empty_word_set=sweep.counts[cls] == 0,
-        )
-        for cls in ordered
-    )
+    return _class_chain(_constrained_sweep(matrices, omega, n, norm), n)
+
+
+def _class_chain(sweep: _Sweep, n: int) -> tuple[BoundSequencePoint, ...]:
+    return tuple(sweep.point(n, cls, BoundKind.NORM) for cls in _CHAIN_ORDER)
 
 
 @dataclass(frozen=True)
@@ -602,35 +700,30 @@ def audit_factor_structure(
     """Compare structural and dense factor products on every chain word
     up to length n_max, in exact integer arithmetic."""
     _check_length(n_max)
-    dg = TransitionDigraph.from_omega(omega)
+    automaton = _Automaton.from_omega(omega)
     checked = 0
     rep_ok = nz_ok = diag_ok = True
-    for n in range(1, n_max + 1):
-        for word in enumerate_words(omega, n, WordClass.CHAIN):
+    for chunk in _expand(automaton, None, n_max, words=True):
+        classes = automaton.classes(chunk.first, chunk.state)
+        markov = classes[:, WordClass.MARKOV.strictness].tolist()
+        periodic = classes[:, WordClass.PERIODICALLY_EXTENDABLE.strictness].tolist()
+        for word, admissible, closes in zip((chunk.words + 1).tolist(), markov, periodic):
             structure = factor_product_structure(omega, word)
             dense = factor_product_dense(omega, word)
             checked += 1
-            if not np.array_equal(dense, structure.to_matrix(omega.size)):
-                rep_ok = False
-            classes = classify(word, omega, dg)
-            if (not structure.is_zero) != (WordClass.MARKOV in classes):
-                nz_ok = False
-            periodic = WordClass.PERIODICALLY_EXTENDABLE in classes
-            if periodic:
-                if structure.diag_nonzero_at != word[0]:
-                    diag_ok = False
-                if dense[word[0] - 1, word[0] - 1] == 0:
-                    diag_ok = False
+            rep_ok &= np.array_equal(dense, structure.to_matrix(omega.size))
+            nz_ok &= (not structure.is_zero) == admissible
+            if closes:
+                diag_ok &= structure.diag_nonzero_at == word[0]
+                diag_ok &= dense[word[0] - 1, word[0] - 1] != 0
             else:
-                if structure.diag_nonzero_at is not None:
-                    diag_ok = False
-                if np.any(np.diag(dense) != 0):
-                    diag_ok = False
+                diag_ok &= structure.diag_nonzero_at is None
+                diag_ok &= not np.diag(dense).any()
     return FactorStructureAudit(
         words_checked=checked,
-        representation_ok=rep_ok,
-        nonzero_iff_admissible_ok=nz_ok,
-        diagonal_iff_periodic_ok=diag_ok,
+        representation_ok=bool(rep_ok),
+        nonzero_iff_admissible_ok=bool(nz_ok),
+        diagonal_iff_periodic_ok=bool(diag_ok),
     )
 
 
@@ -679,21 +772,29 @@ def full_verification(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Run the lift equalities, the factor-structure audit, the class-chain
-    monotonicity, and the cross bounds for n = 1..n_max."""
+    monotonicity, and the cross bounds for n = 1..n_max.
+
+    One sweep of the constrained words and one of the lifted family serve
+    every length and every check.
+    """
     validate_instance(matrices, omega)
     _check_length(n_max)
-    equalities = tuple(
-        verify_lift_equalities(matrices, omega, n, norm, norm_tol, spectral_tol, rel_tol)
-        for n in range(1, n_max + 1)
+    constrained = _constrained_sweep(
+        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, rel_tol=rel_tol
     )
-    chains = []
-    for n in range(1, n_max + 1):
-        pts = alternative_class_chain(matrices, omega, n, norm)
-        chains.append(ClassChainCheck(n=n, values=tuple(p.value for p in pts)))
-    report = sandwich(matrices, omega, n_max, norm=norm, rel_tol=rel_tol)
+    lifted = _lifted_sweep(
+        lift_set(matrices, omega), n_max, norm, spectral=WordClass.CHAIN, rel_tol=rel_tol
+    )
+    report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
+    lengths = range(1, n_max + 1)
     return VerificationReport(
-        equality_checks=equalities,
+        equality_checks=tuple(
+            _equality_check(n, constrained, lifted, norm_tol, spectral_tol) for n in lengths
+        ),
         factor_audit=audit_factor_structure(omega, n_max),
-        class_chains=tuple(chains),
+        class_chains=tuple(
+            ClassChainCheck(n=n, values=tuple(p.value for p in _class_chain(constrained, n)))
+            for n in lengths
+        ),
         cross_bounds=report.cross_bounds,
     )

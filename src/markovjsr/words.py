@@ -14,6 +14,7 @@ from markovjsr.core import (
     surviving_nodes,
     validate_word,
 )
+from markovjsr.radius import _Automaton, _class_words
 
 __all__ = [
     "TransitionDigraph",
@@ -54,9 +55,6 @@ class TransitionDigraph:
             can_reach_cycle=tuple((j + 1) in alive for j in range(n)),
         )
 
-    def out_of(self, node: int) -> tuple[int, ...]:
-        return self.successors[node - 1]
-
 
 def classify(
     word: Sequence[int],
@@ -86,16 +84,6 @@ def classify(
     return frozenset(found)
 
 
-def _final_test(dg: TransitionDigraph, omega: TransitionMatrix, word_class: WordClass):
-    if word_class is WordClass.CHAIN:
-        return lambda first, last: True
-    if word_class is WordClass.MARKOV:
-        return lambda first, last: dg.has_out_edge[last - 1]
-    if word_class is WordClass.INFINITELY_EXTENDABLE:
-        return lambda first, last: dg.can_reach_cycle[last - 1]
-    return lambda first, last: omega.allows(last, first)
-
-
 def enumerate_words(
     omega: TransitionMatrix,
     n: int,
@@ -103,41 +91,15 @@ def enumerate_words(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the length-n words of the class in lexicographic order.
 
-    Depth-first with transition pruning: only chain prefixes are ever
-    extended (cost proportional to the number of chain words, not to the
-    alphabet power), and the class condition is applied at the final
-    letter.  Lazy, so callers can fold products without materializing the
-    word list.
+    A view on the product engine of ``markovjsr.radius``, run without
+    products: only chain prefixes are ever extended (cost proportional to
+    the number of chain words, not to the alphabet power), chunk by chunk,
+    and the class condition is a mask on each word's first and last
+    letter.  Lazy, so callers can stop early.
     """
     if n < 1:
         raise ValidationError(f"word length must be positive, got {n}")
-    dg = TransitionDigraph.from_omega(omega)
-    accept = _final_test(dg, omega, word_class)
-
-    def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            if accept(prefix[0], prefix[-1]):
-                yield tuple(prefix)
-            return
-        options = dg.out_of(prefix[-1]) if prefix else range(1, omega.size + 1)
-        for nxt in options:
-            prefix.append(nxt)
-            yield from walk(prefix)
-            prefix.pop()
-
-    yield from walk([])
-
-
-def _int_rows(omega: TransitionMatrix) -> list[list[int]]:
-    return [[int(v) for v in row] for row in omega.entries]
-
-
-def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    yield from _class_words(_Automaton.from_omega(omega), n, word_class)
 
 
 def count_words(
@@ -155,21 +117,14 @@ def count_words(
     """
     if n < 1:
         raise ValidationError(f"word length must be positive, got {n}")
-    base = _int_rows(omega)
-    power = [[1 if i == j else 0 for j in range(omega.size)] for i in range(omega.size)]
-    for _ in range(n - 1):
-        power = _int_mat_mul(base, power)
+    base = omega.entries.astype(object)  # Python integers: exact, never overflow
+    power = np.linalg.matrix_power(base, n - 1)  # walks of length n-1, last letter first
     if word_class is WordClass.PERIODICALLY_EXTENDABLE:
-        closed = _int_mat_mul(base, power)  # walks of length n from i1 back to i1
-        return sum(closed[i][i] for i in range(omega.size))
-    if word_class is WordClass.CHAIN:
-        rows = range(omega.size)
-    else:
-        dg = TransitionDigraph.from_omega(omega)
-        flags = (
-            dg.has_out_edge
-            if word_class is WordClass.MARKOV
-            else dg.can_reach_cycle
-        )
-        rows = [i for i in range(omega.size) if flags[i]]
-    return sum(power[i][j] for i in rows for j in range(omega.size))
+        return int(np.trace(base @ power))  # walks of length n from i1 back to i1
+    dg = TransitionDigraph.from_omega(omega)
+    last_ok = {
+        WordClass.CHAIN: [True] * omega.size,
+        WordClass.MARKOV: dg.has_out_edge,
+        WordClass.INFINITELY_EXTENDABLE: dg.can_reach_cycle,
+    }[word_class]
+    return int(power[np.array(last_ok)].sum())

@@ -12,6 +12,14 @@ from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, write_instance
 
 SQRT6 = math.sqrt(6.0)
 
+# Gaussian members: the lift has entries that 12 significant digits do not hold.
+NON_INTEGER_DOC = {
+    "dimension": 2,
+    "field": "real",
+    "matrices": np.random.default_rng(0).standard_normal((3, 2, 2)).tolist(),
+    "omega": [[1, 1, 0], [1, 0, 1], [1, 1, 1]],
+}
+
 ORDER2_DOC = {
     "dimension": 1,
     "field": "real",
@@ -188,6 +196,23 @@ def test_real_field_with_imaginary_entry_is_validation_error(runner, tmp_path):
     path = write_instance(tmp_path, doc)
     result = invoke(runner, "bounds", str(path))
     assert result.exit_code == 3
+
+
+
+@pytest.mark.parametrize(
+    "scale, n_max",
+    [
+        (1e-120, 4),  # products underflow to 0 at n = 3, under the lower bound
+        (1e120, 6),   # products overflow to inf at n = 3
+    ],
+)
+def test_bounds_out_of_range_scale_is_validation_error(runner, tmp_path, scale, n_max):
+    doc = dict(GOLDEN_MEAN_DOC, matrices=[[[2 * scale]], [[3 * scale]]])
+    path = write_instance(tmp_path, doc)
+    result = invoke(runner, "bounds", str(path), "--n-max", str(n_max))
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "overflow" in result.stderr or "underflow" in result.stderr
 
 
 # ------------------------------------------------------------- round trip
@@ -427,6 +452,36 @@ def test_verify_accepts_genuine_claimed_lift(runner, tmp_path):
         runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
     )
     assert result.exit_code == 0
+
+
+
+def test_verify_accepts_lift_output_of_non_integer_instance(runner, tmp_path):
+    # `lift` prints 12 significant digits, which verify must accept as exact
+    path = write_instance(tmp_path, NON_INTEGER_DOC)
+    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lift_path = tmp_path / "claimed.json"
+    lift_path.write_text(lifted.output, encoding="utf-8")
+    result = invoke(
+        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
+    )
+    assert "claimed lift matches: yes" in result.output
+    assert result.exit_code == 0
+
+
+def test_verify_rejects_lift_entry_moved_at_twelfth_digit(runner, tmp_path):
+    path = write_instance(tmp_path, NON_INTEGER_DOC)
+    claimed = json.loads(invoke(runner, "lift", str(path), "--format", "json").output)
+    entry = claimed["matrices"][0][0][0]
+    exponent = math.floor(math.log10(abs(entry)))
+    claimed["matrices"][0][0][0] = float(f"{entry + 10.0 ** (exponent - 11):.12g}")
+    assert claimed["matrices"][0][0][0] != entry
+    lift_path = tmp_path / "claimed.json"
+    lift_path.write_text(json.dumps(claimed), encoding="utf-8")
+    result = invoke(
+        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
+    )
+    assert "claimed lift matches: NO" in result.output
+    assert result.exit_code == 1
 
 
 # ------------------------------------------------------------------ words

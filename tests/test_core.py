@@ -127,9 +127,6 @@ def test_cycle_criterion_matches_brute_force(size, seed):
         for word in itertools.product(range(1, size + 1), repeat=size + 1)
     )
     assert has_arbitrarily_long_words(om) == brute
-    # and the answer is identical across all four classes
-    answers = {has_arbitrarily_long_words(om, cls) for cls in WordClass}
-    assert len(answers) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,7 +139,7 @@ def test_cycle_criterion_serves_periodic_class(size, seed):
     brute_periodic_long = any(
         brute_words(rows, n, "periodic") for n in range(size + 1, 2 * size + 1)
     )
-    assert has_arbitrarily_long_words(om, WordClass.PERIODICALLY_EXTENDABLE) == brute_periodic_long
+    assert has_arbitrarily_long_words(om) == brute_periodic_long
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,6 @@ from markovjsr import (
     enumerate_words,
     factor_product_dense,
     factor_product_structure,
-    kronecker,
     lift_set,
     omega_factor,
     spectral_radius,
@@ -77,7 +76,7 @@ def test_lift_set_members_match_kronecker(four_letter_omega):
     lifted = lift_set(mats, four_letter_omega)
     for i in range(4):
         assert np.array_equal(
-            lifted.members[i], kronecker(lifted.factors[i], mats.members[i])
+            lifted.members[i], np.kron(lifted.factors[i], mats.members[i])
         )
 
 
@@ -128,7 +127,7 @@ def test_lifted_product_factorizes(size, dim, n, seed):
     lifted = lift_set(mats, om)
     word = tuple(int(v) for v in rng.integers(1, size + 1, n))
     block_product = fold_product(lifted.members, word)
-    expected = kronecker(
+    expected = np.kron(
         factor_product_dense(om, word), fold_product(mats.members, word)
     )
     assert np.max(np.abs(block_product - expected)) <= 1e-10

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovjsr import (
+    MatrixSet,
     NormKind,
     TransitionMatrix,
     ValidationError,
     block_norm,
-    kronecker,
-    mat_mul,
+    lift_set,
     omega_factor,
     operator_norm,
     spectral_radii,
@@ -24,46 +24,31 @@ def _rowsum(m):
     return float(np.abs(m).sum(axis=1).max())
 
 
-# ----------------------------------------------------------------- mat_mul
-
-
-def test_mat_mul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mat_mul(np.eye(2), m), m)
-
-
-def test_mat_mul_nilpotent_square_is_zero():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(mat_mul(n, n), np.zeros((2, 2)))
-
-
-def test_mat_mul_rejects_mismatched_shapes():
-    with pytest.raises(ValidationError, match="cannot multiply"):
-        mat_mul(np.zeros((2, 3)), np.zeros((2, 3)))
+# ------------------------------------------------------- factor products
 
 
 def test_factor_chain_product_matches_reference_layout():
     om = TransitionMatrix.from_rows(FOUR_LETTER_ROWS)
-    product = mat_mul(
-        omega_factor(om, 4), mat_mul(omega_factor(om, 3), omega_factor(om, 1))
-    )
+    product = omega_factor(om, 4) @ (omega_factor(om, 3) @ omega_factor(om, 1))
     expected = np.zeros((4, 4), dtype=np.int64)
     expected[:3, 0] = 1  # first column (1,1,1,0), zeros elsewhere
     assert np.array_equal(product, expected)
 
 
-# --------------------------------------------------------------- kronecker
+# ------------------------------------------------- Kronecker block layout
 
 
 def test_kronecker_with_scalar_one_is_identity():
+    # a one-letter family under the one-entry transition matrix lifts to itself
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(kronecker(np.array([[1]]), m), m)
+    lifted = lift_set(MatrixSet.from_members([m]), TransitionMatrix.from_rows([[1]]))
+    assert np.array_equal(lifted.members[0], m)
 
 
 def test_kronecker_reference_block_layout():
     om = TransitionMatrix.from_rows(FOUR_LETTER_ROWS)
     a1 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    lifted = kronecker(omega_factor(om, 1), a1)
+    lifted = np.kron(omega_factor(om, 1), a1)
     assert lifted.shape == (8, 8)
     expected = np.zeros((8, 8))
     expected[0:2, 0:2] = a1  # block (1,1)
@@ -76,8 +61,8 @@ def test_kronecker_reference_block_layout():
 def test_kronecker_mixed_product_identity(seed):
     rng = np.random.default_rng(seed)
     p, q, r, s = (rng.uniform(-1, 1, (2, 2)) for _ in range(4))
-    lhs = kronecker(p, q) @ kronecker(r, s)
-    rhs = kronecker(p @ r, q @ s)
+    lhs = np.kron(p, q) @ np.kron(r, s)
+    rhs = np.kron(p @ r, q @ s)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -125,13 +110,25 @@ def test_block_norm_single_column_structure():
 def test_block_norm_of_lifted_member(four_letter_omega):
     rng = np.random.default_rng(7)
     a1 = rng.uniform(-1, 1, (2, 2))
-    lifted = kronecker(omega_factor(four_letter_omega, 1), a1)
+    lifted = np.kron(omega_factor(four_letter_omega, 1), a1)
     assert block_norm(lifted, 4, 2) == pytest.approx(operator_norm(a1))
 
 
 def test_block_norm_rejects_indivisible_shape():
     with pytest.raises(ValidationError, match="does not split"):
         block_norm(np.zeros((5, 5)), blocks=2, block_dim=2)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_norms_of_a_stack_equal_norms_of_each_matrix(kind):
+    # the product engine norms whole stacks; each value must be bitwise the
+    # single-matrix one, or its reports would drift from per-word output
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((50, 6, 6)) + 1j * rng.standard_normal((50, 6, 6))
+    assert np.array_equal(operator_norm(stack, kind), [operator_norm(m, kind) for m in stack])
+    assert np.array_equal(
+        block_norm(stack, 3, 2, kind), [block_norm(m, 3, 2, kind) for m in stack]
+    )
 
 
 # --------------------------------------------------------- spectral radius
