@@ -48,8 +48,8 @@ def main() -> None:
     print("\nlift equalities (dense block products vs constrained enumeration):")
     for n in range(1, 7):
         check = verify_lift_equalities(mats, omega, n)
-        dense_norm = rho_n_lifted(lifted, n, engine="dense").value
-        dense_spec = rho_hat_n_lifted(lifted, n, engine="dense").value
+        dense_norm = rho_n_lifted(lifted, n).value
+        dense_spec = rho_hat_n_lifted(lifted, n).value
         print(
             f"  n={n}: norm {dense_norm:.12f} == {check.norm_constrained:.12f}, "
             f"spectral {dense_spec:.12f} == {check.spectral_periodic:.12f} "

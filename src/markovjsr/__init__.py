@@ -37,7 +37,6 @@ from markovjsr.lift import (
     omega_factor,
 )
 from markovjsr.linalg import (
-    DEFAULT_REL_TOL,
     NormKind,
     block_norm,
     operator_norm,
@@ -61,7 +60,7 @@ from markovjsr.radius import (
     sandwich,
     verify_lift_equalities,
 )
-from markovjsr.words import TransitionDigraph, classify, count_words, enumerate_words
+from markovjsr.words import classify, count_words, enumerate_words
 
 __version__ = "0.1.0"
 
@@ -75,12 +74,10 @@ __all__ = [
     "surviving_nodes",
     "validate_instance",
     "validate_word",
-    "TransitionDigraph",
     "classify",
     "count_words",
     "enumerate_words",
     "NormKind",
-    "DEFAULT_REL_TOL",
     "operator_norm",
     "block_norm",
     "spectral_radius",

@@ -27,8 +27,10 @@ from markovjsr.instancefile import (
 )
 from markovjsr.kstep import RecodedInstance, recode
 from markovjsr.lift import lift_set
-from markovjsr.linalg import NormKind
+from markovjsr.linalg import REL_TOL, NormKind
 from markovjsr.radius import (
+    NORM_TOL,
+    SPECTRAL_TOL,
     alternative_class_chain,
     full_verification,
     sandwich,
@@ -154,11 +156,10 @@ def _bounds_text(report: dict):
 @click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES,
               help="Word class for the upper norm bounds.")
 @click.option("--class-chain", is_flag=True, help="Tabulate all four class bounds per length instead.")
-@click.option("--tol", default=1e-9, show_default=True, type=float, help="Spectral iteration tolerance.")
 @click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int,
               help="Cap on estimated product operations.")
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, tol, budget, fmt):
+def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt):
     """Sandwich bounds (or per-class tables) for an instance file."""
 
     def body():
@@ -169,7 +170,7 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, tol, budget,
         head_extra = {
             "norm": norm,
             "n_max": n_max,
-            "rel_tol": tol,
+            "rel_tol": REL_TOL,
             "word_class": word_class,
             "recoded_from_kstep": rec is not None,
         }
@@ -188,10 +189,7 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, tol, budget,
                 })
             report["class_chain"] = rows
         else:
-            result = sandwich(
-                matrices, omega, n_max,
-                norm=kind, rel_tol=tol, upper_class=WordClass(word_class),
-            )
+            result = sandwich(matrices, omega, n_max, norm=kind, upper_class=WordClass(word_class))
             report["alpha"] = sig12(result.alpha)
             report["bounds"] = [
                 {
@@ -341,13 +339,11 @@ def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--n-max", default=4, show_default=True, type=int)
 @click.option("--norm", default="rowsum", show_default=True, type=_NORM_CHOICES)
-@click.option("--tol", default=1e-9, show_default=True, type=float,
-              help="Spectral iteration tolerance (equality checks use 1e-9/1e-7 scaled).")
 @click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int)
 @click.option("--claimed-lift", default=None, type=str,
               help="Instance file claimed to be the lift of INSTANCE; compared entrywise.")
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-def cmd_verify(instance_path, n_max, norm, tol, budget, claimed_lift, fmt):
+def cmd_verify(instance_path, n_max, norm, budget, claimed_lift, fmt):
     """Check the lift equalities and structural facts on an instance."""
 
     def body():
@@ -355,7 +351,7 @@ def cmd_verify(instance_path, n_max, norm, tol, budget, claimed_lift, fmt):
         matrices, omega, rec = _resolve(instance)
         _check_budget(_estimate_ops(omega, n_max, lifted=True), budget)
         kind = NormKind(norm)
-        outcome = full_verification(matrices, omega, n_max, norm=kind, rel_tol=tol)
+        outcome = full_verification(matrices, omega, n_max, norm=kind)
         claimed_ok = None
         if claimed_lift is not None:
             if instance.omega is None:
@@ -364,8 +360,8 @@ def cmd_verify(instance_path, n_max, norm, tol, budget, claimed_lift, fmt):
         passed = outcome.passed and claimed_ok is not False
         report = _report_head(
             "verify", instance,
-            norm=norm, n_max=n_max, rel_tol=tol,
-            norm_tol=1e-9, spectral_tol=1e-7,
+            norm=norm, n_max=n_max, rel_tol=REL_TOL,
+            norm_tol=NORM_TOL, spectral_tol=SPECTRAL_TOL,
             recoded_from_kstep=rec is not None,
         )
         report["lift_equalities"] = [

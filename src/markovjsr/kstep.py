@@ -29,7 +29,7 @@ from markovjsr.core import (
     ValidationError,
     WordClass,
 )
-from markovjsr.linalg import DEFAULT_REL_TOL, NormKind, operator_norm
+from markovjsr.linalg import NormKind, operator_norm
 from markovjsr.radius import (
     BoundKind,
     SandwichReport,
@@ -260,7 +260,6 @@ def _direct_bounds(
     matrices: MatrixSet,
     n_max: int,
     norm: NormKind,
-    rel_tol: float,
 ) -> tuple[list[float], list[float]]:
     """Brute-force bounds on the original alphabet for m = 1..n_max.
 
@@ -272,7 +271,7 @@ def _direct_bounds(
     sweep = _sweep(
         _window_automaton(constraint), np.stack(matrices.members), n_max + k - 1,
         partial(operator_norm, kind=norm), WordClass.PERIODICALLY_EXTENDABLE,
-        range(1, n_max + 1), rel_tol,
+        range(1, n_max + 1),
     )
     lengths = range(1, n_max + 1)
     upper = [sweep.point(m + k - 1, WordClass.MARKOV, BoundKind.NORM).value for m in lengths]
@@ -288,7 +287,6 @@ def radius_equivalence_check(
     matrices: MatrixSet,
     n_max: int,
     norm: NormKind = NormKind.ROWSUM,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> KStepEquivalenceReport:
     """Compare the recoded sandwich against direct brute-force bounds.
 
@@ -296,11 +294,11 @@ def radius_equivalence_check(
     on the norm side, and against period m on the spectral side.
     """
     rec = recode(constraint, matrices)
-    report = sandwich(rec.matrices, rec.omega, n_max, norm=norm, rel_tol=rel_tol)
+    report = sandwich(rec.matrices, rec.omega, n_max, norm=norm)
     upper_by_n = {p.n: p.value for p in report.upper_points()}
     lower_by_n = {p.n: p.value for p in report.lower_points()}
     k = constraint.k
-    direct_uppers, direct_lowers = _direct_bounds(constraint, matrices, n_max, norm, rel_tol)
+    direct_uppers, direct_lowers = _direct_bounds(constraint, matrices, n_max, norm)
     rows = [
         EquivalenceRow(
             recoded_length=m,

@@ -16,7 +16,7 @@ from markovjsr.core import ValidationError
 
 __all__ = [
     "NormKind",
-    "DEFAULT_REL_TOL",
+    "REL_TOL",
     "ZERO_SNAP",
     "MAX_SQUARINGS",
     "operator_norm",
@@ -25,7 +25,9 @@ __all__ = [
     "spectral_radii",
 ]
 
-DEFAULT_REL_TOL = 1e-9
+# The settling threshold of the spectral iteration (see spectral_radii for
+# the accuracy it actually reaches); reports print it as rel_tol.
+REL_TOL = 1e-9
 # Spectral-radius estimates below ZERO_SNAP * ||M|| are reported as exactly 0,
 # which makes nilpotent detection deterministic.
 ZERO_SNAP = 1e-12
@@ -93,27 +95,26 @@ def _stack_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).sum(axis=2).max(axis=1)
 
 
-def spectral_radii(
-    stack: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_squarings: int = MAX_SQUARINGS,
-) -> np.ndarray:
+def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of square matrices, computed in one sweep.
 
     Scaled repeated squaring: after k squarings the scaled norm
     ||M^(2^k)||^(1/2^k) approaches the spectral radius from above, and
     extrapolating consecutive estimates in 1/2^k removes the leading error
     term.  A slice stops once its extrapolated estimate settles to within
-    rel_tol/16 three times in a row; a power that becomes exactly zero
-    short-circuits to radius 0 (nilpotent inputs keep exact zero patterns
-    under floating-point products); estimates falling below
-    ZERO_SNAP * ||M|| snap to 0.
+    REL_TOL/16 three times in a row, or after MAX_SQUARINGS squarings; a
+    power that becomes exactly zero short-circuits to radius 0 (nilpotent
+    inputs keep exact zero patterns under floating-point products);
+    estimates falling below ZERO_SNAP * ||M|| snap to 0.
+
+    Settling is not accuracy: against np.linalg.eigvals on 20,000 seeded
+    standard Gaussian matrices at each of d = 2, 4 and 8, about 0.05% of
+    the estimates miss REL_TOL, and the worst relative errors are +4.3e-9
+    and -1.2e-8, so an estimate may lie above or below the true radius.
     """
     mats = np.asarray(stack)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValidationError(f"expected a stack of square matrices, got shape {mats.shape}")
-    if rel_tol <= 0:
-        raise ValidationError("rel_tol must be positive")
     count = mats.shape[0]
     out = np.zeros(count, dtype=np.float64)
     if count == 0 or mats.shape[1] == 0:
@@ -130,9 +131,9 @@ def spectral_radii(
     level_prev = log_scale.copy()
     extrap_prev = np.full(live.size, np.inf)
     settled = np.zeros(live.size, dtype=np.int64)
-    thresh = rel_tol / 16.0
+    thresh = REL_TOL / 16.0
     k = 0
-    while live.size and k < max_squarings:
+    while live.size and k < MAX_SQUARINGS:
         sq = np.matmul(b, b)
         scale = _stack_norms(sq)
         k += 1
@@ -171,7 +172,7 @@ def spectral_radii(
     return out
 
 
-def spectral_radius(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix.
 
     Exactly 0 for the zero matrix and for structurally nilpotent inputs;
@@ -180,4 +181,4 @@ def spectral_radius(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> float:
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"spectral radius needs a square matrix, got shape {arr.shape}")
-    return float(spectral_radii(arr[None, :, :], rel_tol=rel_tol)[0])
+    return float(spectral_radii(arr[None, :, :])[0])

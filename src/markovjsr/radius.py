@@ -24,7 +24,7 @@ fed to the kernel through one buffer tagged by length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -45,7 +45,6 @@ from markovjsr.lift import (
     lift_set,
 )
 from markovjsr.linalg import (
-    DEFAULT_REL_TOL,
     NormKind,
     block_norm,
     operator_norm,
@@ -53,6 +52,8 @@ from markovjsr.linalg import (
 )
 
 __all__ = [
+    "NORM_TOL",
+    "SPECTRAL_TOL",
     "BoundKind",
     "BoundSequencePoint",
     "rho_n",
@@ -80,6 +81,11 @@ __all__ = [
 _CHUNK_BYTES = 1 << 15
 _MIN_CHUNK_ROWS = 32
 _KERNEL_CHUNKS = 8
+
+# Relative tolerances of the lift equality checks.  The spectral one is
+# looser because both spectral columns come out of the iterative kernel.
+NORM_TOL = 1e-9
+SPECTRAL_TOL = 1e-7
 
 # The class-chain view, weakest-class last.
 _CHAIN_ORDER = tuple(sorted(WordClass, key=lambda c: -c.strictness))
@@ -258,7 +264,6 @@ def _sweep(
     norm_of: Callable[[np.ndarray], np.ndarray],
     spectral: WordClass | None = None,
     spectral_lengths: range | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> _Sweep:
     """One expansion to n_max: counts and norm suprema of every length and
     class, and the spectral suprema of the class ``spectral`` at
@@ -275,7 +280,7 @@ def _sweep(
 
     def flush() -> None:
         nonlocal fill
-        radii = spectral_radii(buffer[:fill], rel_tol=rel_tol)
+        radii = spectral_radii(buffer[:fill])
         _require_finite(radii, "spectral radius")
         np.maximum.at(spectral_sup[:, spectral.strictness], tags[:fill], radii)
         fill = 0
@@ -344,7 +349,6 @@ def rho_hat_n(
     omega: TransitionMatrix,
     n: int,
     word_class: WordClass = WordClass.PERIODICALLY_EXTENDABLE,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> BoundSequencePoint:
     """Spectral bound: sup over length-n words of the class of rho(product)^(1/n).
 
@@ -355,7 +359,7 @@ def rho_hat_n(
     _check_length(n)
     sweep = _constrained_sweep(
         matrices, omega, n, NormKind.ROWSUM,
-        spectral=word_class, spectral_lengths=range(n, n + 1), rel_tol=rel_tol,
+        spectral=word_class, spectral_lengths=range(n, n + 1),
     )
     return sweep.point(n, word_class, BoundKind.SPECTRAL)
 
@@ -364,59 +368,34 @@ def rho_n_lifted(
     lifted: LiftedSet,
     n: int,
     norm: NormKind = NormKind.ROWSUM,
-    engine: str = "structured",
 ) -> BoundSequencePoint:
     """Norm bound over ALL length-n words on the lifted family.
 
-    engine='structured' uses the rank-one factor algebra: products vanish
-    off the admissible words and otherwise repeat the base product down a
-    single block column, so the supremum equals the admissible-class
-    supremum on the base family.  engine='dense' multiplies the full block
-    matrices for every word of the complete alphabet and takes the block
-    norm; it is the independent slow path used for verification.
+    Multiplies the full block matrices for every word of the complete
+    alphabet and takes the block norm: the independent dense oracle.  By
+    the rank-one factor algebra, products vanish off the admissible words
+    and otherwise repeat the base product down a single block column, so
+    the value equals rho_n on the base family with the Markov class.
     """
     _check_length(n)
-    if engine == "structured":
-        value = rho_n(lifted.base, lifted.omega, n, WordClass.MARKOV, norm).value
-    elif engine == "dense":
-        value = _lifted_sweep(lifted, n, norm).point(n, WordClass.CHAIN, BoundKind.NORM).value
-    else:
-        raise ValidationError(f"unknown product engine {engine!r}")
-    return BoundSequencePoint(
-        n=n, value=value, kind=BoundKind.NORM, word_class=WordClass.CHAIN,
-        lifted=True, empty_word_set=False,
-    )
+    point = _lifted_sweep(lifted, n, norm).point(n, WordClass.CHAIN, BoundKind.NORM)
+    return replace(point, lifted=True)
 
 
-def rho_hat_n_lifted(
-    lifted: LiftedSet,
-    n: int,
-    engine: str = "structured",
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> BoundSequencePoint:
-    """Spectral bound over ALL length-n words on the lifted family.
+def rho_hat_n_lifted(lifted: LiftedSet, n: int) -> BoundSequencePoint:
+    """Spectral bound over ALL length-n words on the lifted family, by the
+    same dense oracle.
 
     Only periodically extendable words can contribute: forbidden words
     give the zero product and admissible non-periodic ones give a single
-    off-diagonal block column, hence a nilpotent product.
+    off-diagonal block column, hence a nilpotent product; so the value
+    equals rho_hat_n on the base family with the periodic class.
     """
     _check_length(n)
-    if engine == "structured":
-        value = rho_hat_n(
-            lifted.base, lifted.omega, n, WordClass.PERIODICALLY_EXTENDABLE, rel_tol
-        ).value
-    elif engine == "dense":
-        sweep = _lifted_sweep(
-            lifted, n, NormKind.ROWSUM,
-            spectral=WordClass.CHAIN, spectral_lengths=range(n, n + 1), rel_tol=rel_tol,
-        )
-        value = sweep.point(n, WordClass.CHAIN, BoundKind.SPECTRAL).value
-    else:
-        raise ValidationError(f"unknown product engine {engine!r}")
-    return BoundSequencePoint(
-        n=n, value=value, kind=BoundKind.SPECTRAL, word_class=WordClass.CHAIN,
-        lifted=True, empty_word_set=False,
+    sweep = _lifted_sweep(
+        lifted, n, NormKind.ROWSUM, spectral=WordClass.CHAIN, spectral_lengths=range(n, n + 1)
     )
+    return replace(sweep.point(n, WordClass.CHAIN, BoundKind.SPECTRAL), lifted=True)
 
 
 @dataclass(frozen=True)
@@ -433,8 +412,6 @@ class LiftEqualityCheck:
     norm_constrained: float
     spectral_lifted: float
     spectral_periodic: float
-    norm_tol: float
-    spectral_tol: float
 
     @property
     def norm_diff(self) -> float:
@@ -451,12 +428,12 @@ class LiftEqualityCheck:
     @property
     def norm_ok(self) -> bool:
         scale = 1.0 + max(abs(self.norm_lifted), abs(self.norm_constrained))
-        return self.norm_diff <= self.norm_tol * scale
+        return self.norm_diff <= NORM_TOL * scale
 
     @property
     def spectral_ok(self) -> bool:
         scale = 1.0 + max(abs(self.spectral_lifted), abs(self.spectral_periodic))
-        return self.spectral_diff <= self.spectral_tol * scale
+        return self.spectral_diff <= SPECTRAL_TOL * scale
 
     @property
     def passed(self) -> bool:
@@ -468,32 +445,25 @@ def verify_lift_equalities(
     omega: TransitionMatrix,
     n: int,
     norm: NormKind = NormKind.ROWSUM,
-    norm_tol: float = 1e-9,
-    spectral_tol: float = 1e-7,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> LiftEqualityCheck:
-    """Check the two lift equalities at length n by computing all four sides.
-
-    The spectral tolerance defaults looser than the norm one because both
-    spectral columns come out of an iterative radius computation.
-    """
+    """Check the two lift equalities at length n by computing all four sides,
+    to the relative tolerances NORM_TOL and SPECTRAL_TOL."""
     validate_instance(matrices, omega)
     _check_length(n)
-    only_n = {"spectral_lengths": range(n, n + 1), "rel_tol": rel_tol}
+    only_n = range(n, n + 1)
     return _equality_check(
         n,
         _constrained_sweep(
-            matrices, omega, n, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, **only_n
+            matrices, omega, n, norm,
+            spectral=WordClass.PERIODICALLY_EXTENDABLE, spectral_lengths=only_n,
         ),
-        _lifted_sweep(lift_set(matrices, omega), n, norm, spectral=WordClass.CHAIN, **only_n),
-        norm_tol,
-        spectral_tol,
+        _lifted_sweep(
+            lift_set(matrices, omega), n, norm, spectral=WordClass.CHAIN, spectral_lengths=only_n
+        ),
     )
 
 
-def _equality_check(
-    n: int, constrained: _Sweep, lifted: _Sweep, norm_tol: float, spectral_tol: float
-) -> LiftEqualityCheck:
+def _equality_check(n: int, constrained: _Sweep, lifted: _Sweep) -> LiftEqualityCheck:
     return LiftEqualityCheck(
         n=n,
         norm_lifted=lifted.point(n, WordClass.CHAIN, BoundKind.NORM).value,
@@ -502,8 +472,6 @@ def _equality_check(
         spectral_periodic=constrained.point(
             n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL
         ).value,
-        norm_tol=norm_tol,
-        spectral_tol=spectral_tol,
     )
 
 
@@ -564,7 +532,6 @@ def sandwich(
     omega: TransitionMatrix,
     n_max: int,
     norm: NormKind = NormKind.ROWSUM,
-    rel_tol: float = DEFAULT_REL_TOL,
     upper_class: WordClass = WordClass.MARKOV,
 ) -> SandwichReport:
     """Two-sided bounds on the constrained growth rate for n = 1..n_max.
@@ -593,7 +560,7 @@ def sandwich(
             "class-chain view instead"
         )
     sweep = _constrained_sweep(
-        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, rel_tol=rel_tol
+        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE
     )
     return _sandwich_report(sweep, matrices, n_max, norm, upper_class)
 
@@ -644,16 +611,10 @@ def _sandwich_report(
 
 
 def classical_bounds(
-    matrices: MatrixSet,
-    n_max: int,
-    norm: NormKind = NormKind.ROWSUM,
-    rel_tol: float = DEFAULT_REL_TOL,
+    matrices: MatrixSet, n_max: int, norm: NormKind = NormKind.ROWSUM
 ) -> SandwichReport:
     """Unconstrained sandwich: every transition allowed."""
-    return sandwich(
-        matrices, TransitionMatrix.complete(matrices.size), n_max,
-        norm=norm, rel_tol=rel_tol,
-    )
+    return sandwich(matrices, TransitionMatrix.complete(matrices.size), n_max, norm=norm)
 
 
 def alternative_class_chain(
@@ -736,11 +697,7 @@ class ClassChainCheck:
 
     @property
     def ok(self) -> bool:
-        slack = tuple(1e-12 * (1.0 + abs(v)) for v in self.values)
-        return all(
-            self.values[i] <= self.values[i + 1] + slack[i + 1]
-            for i in range(3)
-        )
+        return all(self.values[i] <= self.values[i + 1] * (1.0 + 1e-12) for i in range(3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -767,9 +724,6 @@ def full_verification(
     omega: TransitionMatrix,
     n_max: int,
     norm: NormKind = NormKind.ROWSUM,
-    norm_tol: float = 1e-9,
-    spectral_tol: float = 1e-7,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Run the lift equalities, the factor-structure audit, the class-chain
     monotonicity, and the cross bounds for n = 1..n_max.
@@ -780,16 +734,14 @@ def full_verification(
     validate_instance(matrices, omega)
     _check_length(n_max)
     constrained = _constrained_sweep(
-        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE, rel_tol=rel_tol
+        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE
     )
-    lifted = _lifted_sweep(
-        lift_set(matrices, omega), n_max, norm, spectral=WordClass.CHAIN, rel_tol=rel_tol
-    )
+    lifted = _lifted_sweep(lift_set(matrices, omega), n_max, norm, spectral=WordClass.CHAIN)
     report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
     lengths = range(1, n_max + 1)
     return VerificationReport(
         equality_checks=tuple(
-            _equality_check(n, constrained, lifted, norm_tol, spectral_tol) for n in lengths
+            _equality_check(n, constrained, lifted) for n in lengths
         ),
         factor_audit=audit_factor_structure(omega, n_max),
         class_chains=tuple(

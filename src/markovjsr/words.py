@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,50 +16,13 @@ from markovjsr.core import (
 from markovjsr.radius import _Automaton, _class_words
 
 __all__ = [
-    "TransitionDigraph",
     "classify",
     "enumerate_words",
     "count_words",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionDigraph:
-    """Successor structure of a transition matrix with reachability flags.
-
-    Node j has an edge to node i iff letter i may follow letter j, i.e.
-    iff entry (i, j) of the transition matrix is 1.  ``has_out_edge``
-    marks letters with any continuation, ``can_reach_cycle`` marks letters
-    from which an infinite walk exists; both are precomputed so class
-    membership of a word is O(1) once the chain condition is known.
-    """
-
-    size: int
-    successors: tuple[tuple[int, ...], ...]
-    has_out_edge: tuple[bool, ...]
-    can_reach_cycle: tuple[bool, ...]
-
-    @classmethod
-    def from_omega(cls, omega: TransitionMatrix) -> "TransitionDigraph":
-        n = omega.size
-        succ = tuple(
-            tuple(int(i) + 1 for i in np.flatnonzero(omega.entries[:, j]))
-            for j in range(n)
-        )
-        alive = surviving_nodes(omega)
-        return cls(
-            size=n,
-            successors=succ,
-            has_out_edge=tuple(bool(s) for s in succ),
-            can_reach_cycle=tuple((j + 1) in alive for j in range(n)),
-        )
-
-
-def classify(
-    word: Sequence[int],
-    omega: TransitionMatrix,
-    digraph: TransitionDigraph | None = None,
-) -> frozenset[WordClass]:
+def classify(word: Sequence[int], omega: TransitionMatrix) -> frozenset[WordClass]:
     """Word-class memberships of an index word.
 
     Empty when a consecutive transition is forbidden; otherwise contains
@@ -69,15 +31,14 @@ def classify(
     letter).  A single letter satisfies the chain condition vacuously.
     """
     w = validate_word(word, omega.size)
-    dg = digraph if digraph is not None else TransitionDigraph.from_omega(omega)
     for a, b in zip(w, w[1:]):
         if not omega.allows(a, b):
             return frozenset()
     found = {WordClass.CHAIN}
     last = w[-1]
-    if dg.has_out_edge[last - 1]:
+    if omega.entries[:, last - 1].any():
         found.add(WordClass.MARKOV)
-    if dg.can_reach_cycle[last - 1]:
+    if last in surviving_nodes(omega):
         found.add(WordClass.INFINITELY_EXTENDABLE)
     if omega.allows(last, w[0]):
         found.add(WordClass.PERIODICALLY_EXTENDABLE)
@@ -121,10 +82,8 @@ def count_words(
     power = np.linalg.matrix_power(base, n - 1)  # walks of length n-1, last letter first
     if word_class is WordClass.PERIODICALLY_EXTENDABLE:
         return int(np.trace(base @ power))  # walks of length n from i1 back to i1
-    dg = TransitionDigraph.from_omega(omega)
-    last_ok = {
-        WordClass.CHAIN: [True] * omega.size,
-        WordClass.MARKOV: dg.has_out_edge,
-        WordClass.INFINITELY_EXTENDABLE: dg.can_reach_cycle,
-    }[word_class]
-    return int(power[np.array(last_ok)].sum())
+    if word_class is WordClass.MARKOV:
+        power = power[omega.entries.any(axis=0)]  # last letters with a continuation
+    elif word_class is WordClass.INFINITELY_EXTENDABLE:
+        power = power[[j - 1 for j in sorted(surviving_nodes(omega))]]
+    return int(power.sum())

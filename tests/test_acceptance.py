@@ -109,9 +109,7 @@ def test_criterion_2_randomized_lift_equalities():
     ok = True
     for mats, om in _criterion2_family(200):
         for n in range(1, 6):
-            check = verify_lift_equalities(
-                mats, om, n, norm_tol=1e-9, spectral_tol=1e-7
-            )
+            check = verify_lift_equalities(mats, om, n)
             ok &= check.norm_ok and check.spectral_ok
             worst_norm = max(
                 worst_norm,

@@ -120,6 +120,17 @@ def test_bounds_budget_guard(runner, tmp_path):
     assert relaxed.exit_code == 0
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_tol_option_is_a_usage_error(runner, tmp_path, command):
+    # the spectral tolerance is fixed: a looser one can print a best_lower
+    # above the true rate
+    path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
+    result = invoke(runner, command, str(path), "--tol", "1e-3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--tol" in result.stderr
+
+
 # ------------------------------------------------------------ exit codes
 
 

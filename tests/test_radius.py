@@ -25,6 +25,7 @@ from markovjsr import (
     sandwich,
     verify_lift_equalities,
 )
+from markovjsr.radius import ClassChainCheck
 from tests.conftest import (
     brute_norm_bound,
     brute_spectral_bound,
@@ -118,8 +119,8 @@ def test_rho_n_lifted_length_one_max_member_norm(four_letter_omega):
     mats = MatrixSet.from_members(members)
     lifted = lift_set(mats, four_letter_omega)
     want = max(float(np.abs(m).sum(axis=1).max()) for m in members)
-    for engine in ("structured", "dense"):
-        assert rho_n_lifted(lifted, 1, engine=engine).value == pytest.approx(want, rel=1e-12)
+    assert rho_n_lifted(lifted, 1).value == pytest.approx(want, rel=1e-12)
+    assert rho_n(mats, four_letter_omega, 1).value == pytest.approx(want, rel=1e-12)
 
 
 def test_rho_n_lifted_length_one_skips_letters_without_continuation():
@@ -128,29 +129,34 @@ def test_rho_n_lifted_length_one_skips_letters_without_continuation():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[9.0]])])
     om = TransitionMatrix.from_rows([[1, 0], [1, 0]])
     lifted = lift_set(mats, om)
-    for engine in ("structured", "dense"):
-        assert rho_n_lifted(lifted, 1, engine=engine).value == pytest.approx(2.0, rel=1e-12)
+    assert rho_n_lifted(lifted, 1).value == pytest.approx(2.0, rel=1e-12)
+    assert rho_n(mats, om, 1).value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rho_n_lifted_golden_mean_matches_constrained(
     golden_mean_scalars, golden_mean_omega
 ):
     lifted = lift_set(golden_mean_scalars, golden_mean_omega)
-    for engine in ("structured", "dense"):
-        assert rho_n_lifted(lifted, 2, engine=engine).value == pytest.approx(SQRT6, rel=1e-12)
+    assert rho_n_lifted(lifted, 2).value == pytest.approx(SQRT6, rel=1e-12)
+    assert rho_n(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
+        SQRT6, rel=1e-12
+    )
 
 
 def test_rho_n_lifted_all_zero_transitions():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
-    lifted = lift_set(mats, TransitionMatrix.from_rows([[0, 0], [0, 0]]))
-    for engine in ("structured", "dense"):
-        assert rho_n_lifted(lifted, 3, engine=engine).value == 0.0
+    om = TransitionMatrix.from_rows([[0, 0], [0, 0]])
+    lifted = lift_set(mats, om)
+    assert rho_n_lifted(lifted, 3).value == 0.0
+    assert rho_n(mats, om, 3).value == 0.0
 
 
 def test_rho_hat_n_lifted_golden_mean(golden_mean_scalars, golden_mean_omega):
     lifted = lift_set(golden_mean_scalars, golden_mean_omega)
-    for engine in ("structured", "dense"):
-        assert rho_hat_n_lifted(lifted, 2, engine=engine).value == pytest.approx(SQRT6, rel=1e-9)
+    assert rho_hat_n_lifted(lifted, 2).value == pytest.approx(SQRT6, rel=1e-9)
+    assert rho_hat_n(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
+        SQRT6, rel=1e-9
+    )
 
 
 def test_admissible_but_not_periodic_word_contributes_zero():
@@ -162,22 +168,23 @@ def test_admissible_but_not_periodic_word_contributes_zero():
     eigs = np.linalg.eigvals(lifted.members[1])
     assert np.max(np.abs(eigs)) == pytest.approx(0.0, abs=1e-12)
     # the length-1 lifted spectral bound sees only the self-loop letter
-    assert rho_hat_n_lifted(lifted, 1, engine="dense").value == pytest.approx(2.0, rel=1e-9)
+    assert rho_hat_n_lifted(lifted, 1).value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_lifted_engines_agree_on_random_instances():
-    # the structured engine folds base products, the dense engine full block
-    # matrices; the norm sequences they see coincide, so values match tightly
+    # the dense lifted oracle multiplies full block matrices, the base bounds
+    # fold base products over the admissible / periodic words; the norm
+    # sequences they see coincide, so values match tightly
     rng = np.random.default_rng(321)
     for _ in range(15):
         mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
         lifted = lift_set(mats, om)
         for n in range(1, 5):
-            a = rho_n_lifted(lifted, n, engine="structured").value
-            b = rho_n_lifted(lifted, n, engine="dense").value
+            a = rho_n(mats, om, n).value
+            b = rho_n_lifted(lifted, n).value
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-            c = rho_hat_n_lifted(lifted, n, engine="structured").value
-            d = rho_hat_n_lifted(lifted, n, engine="dense").value
+            c = rho_hat_n(mats, om, n).value
+            d = rho_hat_n_lifted(lifted, n).value
             assert c == pytest.approx(d, rel=1e-12, abs=1e-12)
 
 
@@ -283,7 +290,7 @@ def test_complete_alphabet_periodic_equals_unconstrained_spectral():
     om = TransitionMatrix.complete(2)
     lifted = lift_set(mats, om)
     rows = [[1, 1], [1, 1]]
-    got = rho_hat_n_lifted(lifted, 3, engine="dense").value
+    got = rho_hat_n_lifted(lifted, 3).value
     oracle = brute_spectral_bound(members, rows, 3, "periodic")
     unconstrained = brute_spectral_bound(members, rows, 3, "markov")
     assert oracle == pytest.approx(unconstrained, rel=1e-12)  # every word closes up
@@ -471,6 +478,13 @@ def test_class_chain_monotone_on_random_instances(size, n, seed):
     mats = MatrixSet.from_members([rng.uniform(-1, 1, (2, 2)) for _ in range(size)])
     values = [p.value for p in alternative_class_chain(mats, om, n)]
     assert all(values[i] <= values[i + 1] * (1 + 1e-12) + 1e-15 for i in range(3))
+
+
+def test_class_chain_check_slack_is_relative():
+    # a doubling at 1e-120 is a violation, however small in absolute terms
+    assert not ClassChainCheck(n=1, values=(1e-120, 1e-120, 2e-120, 1e-120)).ok
+    assert ClassChainCheck(n=1, values=(1e-120, 1e-120, 2e-120, 2e-120)).ok
+    assert ClassChainCheck(n=1, values=(0.0, 0.0, 1.0, 1.0 - 1e-13)).ok
 
 
 # ------------------------------------------------------------ verification

@@ -10,8 +10,8 @@ from markovjsr import (
     classify,
     count_words,
     enumerate_words,
+    surviving_nodes,
 )
-from markovjsr.words import TransitionDigraph
 from tests.conftest import brute_words, random_binary_rows
 
 
@@ -43,13 +43,21 @@ def test_classify_range_error(golden_mean_omega):
 
 
 def test_digraph_flags(golden_mean_omega):
-    dg = TransitionDigraph.from_omega(golden_mean_omega)
-    assert dg.successors == ((1, 2), (1,))
-    assert dg.has_out_edge == (True, True)
-    assert dg.can_reach_cycle == (True, True)
-    dead_end = TransitionDigraph.from_omega(TransitionMatrix.from_rows([[0, 0], [1, 0]]))
-    assert dead_end.has_out_edge == (True, False)
-    assert dead_end.can_reach_cycle == (False, False)
+    # successors, continuation and cycle reach of each letter, as
+    # classify and count_words read them
+    om = golden_mean_omega
+    assert tuple(tuple(j for j in (1, 2) if om.allows(i, j)) for i in (1, 2)) == ((1, 2), (1,))
+    assert all(WordClass.MARKOV in classify((i,), om) for i in (1, 2))
+    assert surviving_nodes(om) == frozenset({1, 2})
+    assert all(WordClass.INFINITELY_EXTENDABLE in classify((i,), om) for i in (1, 2))
+    # 2 may follow 1 and nothing follows 2: only letter 1 has a
+    # continuation, and neither letter reaches a cycle
+    dead_end = TransitionMatrix.from_rows([[0, 0], [1, 0]])
+    assert classify((1,), dead_end) == {WordClass.CHAIN, WordClass.MARKOV}
+    assert classify((2,), dead_end) == {WordClass.CHAIN}
+    assert surviving_nodes(dead_end) == frozenset()
+    assert count_words(dead_end, 1, WordClass.MARKOV) == 1
+    assert count_words(dead_end, 1, WordClass.INFINITELY_EXTENDABLE) == 0
 
 
 def test_enumerate_golden_mean_markov(golden_mean_omega):
