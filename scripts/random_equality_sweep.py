@@ -51,8 +51,9 @@ def main() -> None:
         mats, omega = draw_instance(rng, args.letters, args.dim)
         for n in range(1, args.n_max + 1):
             check = verify_lift_equalities(mats, omega, n)
-            scale_norm = 1.0 + max(check.norm_lifted, check.norm_constrained)
-            scale_spec = 1.0 + max(check.spectral_lifted, check.spectral_periodic)
+            # the relative differences the checks bound (both sides 0 -> diff 0)
+            scale_norm = max(check.norm_lifted, check.norm_constrained) or 1.0
+            scale_spec = max(check.spectral_lifted, check.spectral_periodic) or 1.0
             worst_norm = max(worst_norm, check.norm_diff / scale_norm)
             worst_spec = max(worst_spec, check.spectral_diff / scale_spec)
             if not check.passed:

@@ -28,14 +28,7 @@ from markovjsr.kstep import (
     recoded_to_original,
     window_words,
 )
-from markovjsr.lift import (
-    FactorProductStructure,
-    LiftedSet,
-    factor_product_dense,
-    factor_product_structure,
-    lift_set,
-    omega_factor,
-)
+from markovjsr.lift import LiftedSet, lift_set, omega_factor
 from markovjsr.linalg import (
     NormKind,
     block_norm,
@@ -83,11 +76,8 @@ __all__ = [
     "spectral_radius",
     "spectral_radii",
     "LiftedSet",
-    "FactorProductStructure",
     "omega_factor",
     "lift_set",
-    "factor_product_structure",
-    "factor_product_dense",
     "BoundKind",
     "BoundSequencePoint",
     "SandwichReport",

@@ -313,7 +313,7 @@ def radius_equivalence_check(
     best_upper_direct = min(direct_uppers)
     best_lower_direct = max(direct_lowers)
     alpha = max(operator_norm(m, norm) for m in matrices.members)
-    lower_tol = 1e-9 * (1.0 + abs(report.best_lower))
+    lower_tol = 1e-9 * abs(report.best_lower)
     # every direct product is a recoded product times k-1 leading factors of
     # norm at most alpha, giving the certified cap on the direct upper side
     cap = min(
@@ -324,7 +324,7 @@ def radius_equivalence_check(
     # the larger of themselves and the cap; the envelope width bounds their
     # disagreement and shrinks as the sandwich closes
     envelope = max(report.best_upper, cap) - report.best_lower
-    upper_tol = envelope + 1e-9 * (1.0 + abs(report.best_upper))
+    upper_tol = envelope + 1e-9 * abs(report.best_upper)
     return KStepEquivalenceReport(
         order=k,
         rows=tuple(rows),

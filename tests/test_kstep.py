@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,16 @@ def test_equivalence_check_agrees_on_random_constraints():
         assert report.lower_diff <= report.lower_tol
         assert report.direct_upper_within_cap
         assert report.agrees
+
+
+def test_equivalence_tolerances_scale_with_the_rate():
+    # at a rate near 1e-60 an absolute 1e-9 floor would accept any disagreement
+    mats = MatrixSet.from_members([np.array([[2e-60]]), np.array([[3e-60]])])
+    constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
+    report = radius_equivalence_check(constraint, mats, 3)
+    assert report.agrees
+    assert not replace(report, best_lower_direct=1.01 * report.best_lower_direct).agrees
+    assert report.upper_tol < report.best_upper_recoded
 
 
 def test_recode_checks_alphabet_size(scalar_pair):

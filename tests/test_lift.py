@@ -10,13 +10,11 @@ from markovjsr import (
     WordClass,
     classify,
     enumerate_words,
-    factor_product_dense,
-    factor_product_structure,
     lift_set,
     omega_factor,
     spectral_radius,
 )
-from tests.conftest import fold_product, random_binary_rows
+from tests.conftest import chain_ok, fold_product, random_binary_rows
 
 
 def test_omega_factor_reference_layouts(four_letter_omega):
@@ -80,41 +78,48 @@ def test_lift_set_members_match_kronecker(four_letter_omega):
         )
 
 
-def test_factor_product_structure_reference_words(four_letter_omega):
-    om = four_letter_omega
-    zero = factor_product_structure(om, (1, 2, 4))
-    assert zero.is_zero and zero.scalar == 0
+def _factor_lift(omega: TransitionMatrix):
+    """The lift of a family of 1 x 1 ones: its factors are omega's."""
+    return lift_set(MatrixSet.from_members([np.ones((1, 1))] * omega.size), omega)
 
-    good = factor_product_structure(om, (1, 3, 4))
-    assert not good.is_zero
-    assert good.col == 1
-    assert good.nonzero_rows == frozenset({1, 2, 3})
-    assert good.diag_nonzero_at == 1
+
+def test_factor_product_structure_reference_words(four_letter_omega):
+    factors = _factor_lift(four_letter_omega).factors
+    assert not fold_product(factors, (1, 2, 4)).any()
+
+    good = fold_product(factors, (1, 3, 4))
+    want = np.zeros((4, 4), dtype=np.int64)
+    want[[0, 1, 2], 0] = 1  # rows {1, 2, 3} in column 1
+    assert np.array_equal(good, want)
+    assert np.flatnonzero(np.diag(good)).tolist() == [0]  # diagonal at 1 only
 
 
 def test_factor_product_structure_single_letter(four_letter_omega):
-    s = factor_product_structure(four_letter_omega, (3,))
-    assert s.col == 3
-    assert s.nonzero_rows == frozenset({2, 4})  # letters allowed to follow 3
-    assert s.diag_nonzero_at is None  # no self-loop at 3
+    single = fold_product(_factor_lift(four_letter_omega).factors, (3,))
+    want = np.zeros((4, 4), dtype=np.int64)
+    want[[1, 3], 2] = 1  # letters 2 and 4 may follow 3, in column 3
+    assert np.array_equal(single, want)
+    assert not np.diag(single).any()  # no self-loop at 3
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**25 - 1))
 def test_structure_matches_dense_product_on_random_words(size, n, seed):
     rng = np.random.default_rng(seed)
-    om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
+    rows = random_binary_rows(rng, size)
+    om = TransitionMatrix.from_rows(rows)
     word = tuple(int(v) for v in rng.integers(1, size + 1, n))
-    structure = factor_product_structure(om, word)
-    dense = factor_product_dense(om, word)
-    assert np.array_equal(dense, structure.to_matrix(size))
+    dense = fold_product(_factor_lift(om).factors, word)
+    # rank one: the continuations of the last letter, in the first letter's column
+    expected = np.zeros((size, size), dtype=np.int64)
+    if chain_ok(rows, word):
+        expected[:, word[0] - 1] = [row[word[-1] - 1] for row in rows]
+    assert np.array_equal(dense, expected)
     classes = classify(word, om)
-    assert (not structure.is_zero) == (WordClass.MARKOV in classes)
+    assert bool(dense.any()) == (WordClass.MARKOV in classes)
     if WordClass.PERIODICALLY_EXTENDABLE in classes:
-        assert structure.diag_nonzero_at == word[0]
         assert dense[word[0] - 1, word[0] - 1] == 1
     else:
-        assert structure.diag_nonzero_at is None
         assert not np.diag(dense).any()
 
 
@@ -128,7 +133,7 @@ def test_lifted_product_factorizes(size, dim, n, seed):
     word = tuple(int(v) for v in rng.integers(1, size + 1, n))
     block_product = fold_product(lifted.members, word)
     expected = np.kron(
-        factor_product_dense(om, word), fold_product(mats.members, word)
+        fold_product(lifted.factors, word), fold_product(mats.members, word)
     )
     assert np.max(np.abs(block_product - expected)) <= 1e-10
 

@@ -13,11 +13,13 @@ from markovjsr import (
     ValidationError,
     WordClass,
     alternative_class_chain,
+    audit_factor_structure,
     operator_norm,
     classical_bounds,
     full_verification,
     has_arbitrarily_long_words,
     lift_set,
+    omega_factor,
     rho_hat_n,
     rho_hat_n_lifted,
     rho_n,
@@ -25,7 +27,8 @@ from markovjsr import (
     sandwich,
     verify_lift_equalities,
 )
-from markovjsr.radius import ClassChainCheck
+from markovjsr import radius
+from markovjsr.radius import ClassChainCheck, LiftEqualityCheck
 from tests.conftest import (
     brute_norm_bound,
     brute_spectral_bound,
@@ -487,6 +490,22 @@ def test_class_chain_check_slack_is_relative():
     assert ClassChainCheck(n=1, values=(0.0, 0.0, 1.0, 1.0 - 1e-13)).ok
 
 
+def test_lift_equality_tolerances_are_relative(golden_mean_omega):
+    # a factor of two at 1e-120 is a failure, however small in absolute terms
+    tiny = dict(n=1, norm_lifted=1e-120, norm_constrained=1e-120)
+    assert not LiftEqualityCheck(
+        n=1, norm_lifted=2e-120, norm_constrained=1e-120,
+        spectral_lifted=5e-120, spectral_periodic=1e-120,
+    ).passed
+    assert not LiftEqualityCheck(**tiny, spectral_lifted=2e-120, spectral_periodic=1e-120).passed
+    assert LiftEqualityCheck(**tiny, spectral_lifted=1e-120, spectral_periodic=1e-120).passed
+    assert LiftEqualityCheck(n=1, norm_lifted=0.0, norm_constrained=0.0,
+                             spectral_lifted=0.0, spectral_periodic=0.0).passed
+    # and a genuine instance at that scale still passes
+    mats = MatrixSet.from_members([np.array([[2e-120]]), np.array([[3e-120]])])
+    assert verify_lift_equalities(mats, golden_mean_omega, 2).passed
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -496,6 +515,33 @@ def test_full_verification_passes_on_reference_omega(four_letter_omega):
     outcome = full_verification(mats, four_letter_omega, 4)
     assert outcome.passed
     assert outcome.factor_audit.words_checked > 0
+
+
+@pytest.mark.parametrize(
+    "letter, entry, flag",
+    [
+        (1, (0, 1), "representation_ok"),  # support outside the factor's column
+        (3, None, "nonzero_iff_admissible_ok"),  # zeroed: admissible words ending in 3 vanish
+        (3, (2, 2), "diagonal_iff_periodic_ok"),  # a self-loop at 3 that omega forbids
+    ],
+    ids=["off-column", "zeroed", "forbidden-diagonal"],
+)
+def test_audit_reports_a_corrupted_factor(monkeypatch, four_letter_omega, letter, entry, flag):
+    assert audit_factor_structure(four_letter_omega, 3).passed
+
+    def corrupted(omega, index):
+        factor = omega_factor(omega, index)
+        if index == letter:
+            if entry is None:
+                factor[:] = 0
+            else:
+                factor[entry] = 1
+        return factor
+
+    monkeypatch.setattr(radius, "omega_factor", corrupted)
+    audit = audit_factor_structure(four_letter_omega, 3)
+    assert not audit.passed
+    assert not getattr(audit, flag)
 
 
 def test_fixed_length_bounds_are_continuous_in_the_family():
