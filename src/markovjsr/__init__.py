@@ -34,7 +34,6 @@ from markovjsr.linalg import (
     block_norm,
     operator_norm,
     spectral_radii,
-    spectral_radius,
 )
 from markovjsr.radius import (
     BoundKind,
@@ -73,7 +72,6 @@ __all__ = [
     "NormKind",
     "operator_norm",
     "block_norm",
-    "spectral_radius",
     "spectral_radii",
     "LiftedSet",
     "omega_factor",

@@ -18,8 +18,12 @@ letters ascending, so each length comes out in lexicographic order, and
 parents are sliced so that a chunk holds about ``_CHUNK_BYTES`` of
 products.  ``_sweep`` takes from that single pass the counts and norm
 suprema of every length and class (class membership is a vector mask on
-each word's first and last state) and the spectral suprema of one class,
-fed to the kernel through one buffer tagged by length.
+each word's first and last state) and the spectral suprema of the
+periodically extendable words, fed to the kernel through one buffer
+tagged by length.  The kernel sees one word per rotation class: rho is
+invariant under rotation (AB and BA have the same nonzero spectrum) and
+the periodic words of every automaton here are closed under rotation, so
+the lexicographically least rotation stands for all of them.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ _MIN_CHUNK_ROWS = 32
 _KERNEL_CHUNKS = 8
 
 # Relative tolerances of the lift equality checks.  The spectral one is
-# looser because both spectral columns come out of the iterative kernel.
+# looser because its two columns take eigenvalues of different matrices:
+# the d x d products and their (N*d) x (N*d) lifts.
 NORM_TOL = 1e-9
 SPECTRAL_TOL = 1e-7
 
@@ -228,10 +233,28 @@ def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterat
             yield from map(tuple, (chunk.words[keep] + 1).tolist())
 
 
+def _least_rotations(words: np.ndarray, letters: int) -> np.ndarray:
+    """Mask of the words (rows, over ``letters`` letters) that no rotation
+    of them precedes lexicographically: one word per rotation class,
+    powers such as (1, 2, 1, 2) included.
+
+    Words of one length compare as their base-``letters`` numerals, in
+    int64 while those fit and in Python integers beyond.
+    """
+    n = words.shape[1]
+    exact = np.int64 if letters**n < 2**63 else object
+    power = np.array([letters**j for j in range(n + 1)], dtype=exact)
+    code = (words @ power[n - 1::-1])[:, None]
+    # rotating j letters to the back moves the last n - j digits to the front
+    tail = power[n:0:-1]
+    return (code % tail * power[:n] + code // tail >= code).all(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class _Sweep:
-    """Word counts and suprema by length (rows; row 0 unused) and class
-    (columns, in WordClass.strictness order)."""
+    """Word counts and norm suprema by length (rows; row 0 unused) and
+    class (columns, in WordClass.strictness order); spectral suprema of
+    the periodically extendable words by length."""
 
     counts: np.ndarray
     norm_sup: np.ndarray
@@ -240,9 +263,9 @@ class _Sweep:
     def point(self, n: int, word_class: WordClass, kind: BoundKind) -> BoundSequencePoint:
         column = word_class.strictness
         empty = bool(self.counts[n, column] == 0)
-        sup = self.norm_sup if kind is BoundKind.NORM else self.spectral_sup
+        sup = self.norm_sup[n, column] if kind is BoundKind.NORM else self.spectral_sup[n]
         return BoundSequencePoint(
-            n=n, value=0.0 if empty else float(sup[n, column]) ** (1.0 / n), kind=kind,
+            n=n, value=0.0 if empty else float(sup) ** (1.0 / n), kind=kind,
             word_class=word_class, lifted=False, empty_word_set=empty,
         )
 
@@ -257,19 +280,17 @@ def _sweep(
     members: np.ndarray,
     n_max: int,
     norm_of: Callable[[np.ndarray], np.ndarray],
-    spectral: WordClass | None = None,
-    spectral_lengths: range | None = None,
+    spectral: range = range(0),
 ) -> _Sweep:
     """One expansion to n_max: counts and norm suprema of every length and
-    class, and the spectral suprema of the class ``spectral`` at
-    ``spectral_lengths`` (default: every length)."""
+    class, and the spectral suprema of the periodically extendable words
+    at the lengths ``spectral``, one word per rotation class."""
     shape = (n_max + 1, len(WordClass))
     counts = np.zeros(shape, dtype=np.int64)
-    norm_sup, spectral_sup = np.zeros(shape), np.zeros(shape)
-    if spectral_lengths is None:
-        spectral_lengths = range(1, n_max + 1)
+    norm_sup, spectral_sup = np.zeros(shape), np.zeros(n_max + 1)
+    periodic = WordClass.PERIODICALLY_EXTENDABLE.strictness
     rows = _KERNEL_CHUNKS * _chunk_rows(members[0].nbytes)
-    buffer = None if spectral is None else np.empty((rows, *members.shape[1:]), members.dtype)
+    buffer = np.empty((rows, *members.shape[1:]), members.dtype) if spectral else None
     tags = np.empty(rows, dtype=np.intp)
     fill = 0
 
@@ -277,12 +298,12 @@ def _sweep(
         nonlocal fill
         radii = spectral_radii(buffer[:fill])
         _require_finite(radii, "spectral radius")
-        np.maximum.at(spectral_sup[:, spectral.strictness], tags[:fill], radii)
+        np.maximum.at(spectral_sup, tags[:fill], radii)
         fill = 0
 
     # overflow is reported as a ValidationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _expand(automaton, members, n_max):
+        for chunk in _expand(automaton, members, n_max, words=bool(spectral)):
             n = chunk.n
             member = automaton.classes(chunk.first, chunk.state)
             counts[n] += member.sum(axis=0)
@@ -290,9 +311,11 @@ def _sweep(
             _require_finite(norms, f"product norm at word length {n}")
             by_class = np.where(member, norms[:, None], 0.0).max(axis=0)
             norm_sup[n] = np.maximum(norm_sup[n], by_class)
-            if spectral is None or n not in spectral_lengths:
+            if n not in spectral:
                 continue
-            chosen = chunk.products[member[:, spectral.strictness]]
+            kept = np.flatnonzero(member[:, periodic])
+            kept = kept[_least_rotations(chunk.words[kept], automaton.step.shape[1])]
+            chosen = chunk.products[kept]
             while len(chosen):
                 take = min(rows - fill, len(chosen))
                 buffer[fill:fill + take], tags[fill:fill + take] = chosen[:take], n
@@ -339,24 +362,13 @@ def rho_n(
     return _constrained_sweep(matrices, omega, n, norm).point(n, word_class, BoundKind.NORM)
 
 
-def rho_hat_n(
-    matrices: MatrixSet,
-    omega: TransitionMatrix,
-    n: int,
-    word_class: WordClass = WordClass.PERIODICALLY_EXTENDABLE,
-) -> BoundSequencePoint:
-    """Spectral bound: sup over length-n words of the class of rho(product)^(1/n).
-
-    The periodic and Markov classes are the ones the bound chain reports;
-    the computation is well-defined for any class.
-    """
+def rho_hat_n(matrices: MatrixSet, omega: TransitionMatrix, n: int) -> BoundSequencePoint:
+    """Spectral bound: sup over periodically extendable length-n words of
+    rho(product)^(1/n)."""
     validate_instance(matrices, omega)
     _check_length(n)
-    sweep = _constrained_sweep(
-        matrices, omega, n, NormKind.ROWSUM,
-        spectral=word_class, spectral_lengths=range(n, n + 1),
-    )
-    return sweep.point(n, word_class, BoundKind.SPECTRAL)
+    sweep = _constrained_sweep(matrices, omega, n, NormKind.ROWSUM, spectral=range(n, n + 1))
+    return sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL)
 
 
 def rho_n_lifted(
@@ -387,9 +399,7 @@ def rho_hat_n_lifted(lifted: LiftedSet, n: int) -> BoundSequencePoint:
     equals rho_hat_n on the base family with the periodic class.
     """
     _check_length(n)
-    sweep = _lifted_sweep(
-        lifted, n, NormKind.ROWSUM, spectral=WordClass.CHAIN, spectral_lengths=range(n, n + 1)
-    )
+    sweep = _lifted_sweep(lifted, n, NormKind.ROWSUM, spectral=range(n, n + 1))
     return replace(sweep.point(n, WordClass.CHAIN, BoundKind.SPECTRAL), lifted=True)
 
 
@@ -448,13 +458,8 @@ def verify_lift_equalities(
     only_n = range(n, n + 1)
     return _equality_check(
         n,
-        _constrained_sweep(
-            matrices, omega, n, norm,
-            spectral=WordClass.PERIODICALLY_EXTENDABLE, spectral_lengths=only_n,
-        ),
-        _lifted_sweep(
-            lift_set(matrices, omega), n, norm, spectral=WordClass.CHAIN, spectral_lengths=only_n
-        ),
+        _constrained_sweep(matrices, omega, n, norm, spectral=only_n),
+        _lifted_sweep(lift_set(matrices, omega), n, norm, spectral=only_n),
     )
 
 
@@ -490,7 +495,7 @@ class CrossBound:
 
     @property
     def ok(self) -> bool:
-        return self.chain_value <= self.cap * (1.0 + 1e-12) + 1e-300
+        return self.chain_value <= self.cap * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,9 +559,7 @@ def sandwich(
             "lengths and cannot serve as upper bounds; tabulate them with the "
             "class-chain view instead"
         )
-    sweep = _constrained_sweep(
-        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE
-    )
+    sweep = _constrained_sweep(matrices, omega, n_max, norm, spectral=range(1, n_max + 1))
     return _sandwich_report(sweep, matrices, n_max, norm, upper_class)
 
 
@@ -733,12 +736,10 @@ def full_verification(
     """
     validate_instance(matrices, omega)
     _check_length(n_max)
-    constrained = _constrained_sweep(
-        matrices, omega, n_max, norm, spectral=WordClass.PERIODICALLY_EXTENDABLE
-    )
-    lifted = _lifted_sweep(lift_set(matrices, omega), n_max, norm, spectral=WordClass.CHAIN)
-    report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
     lengths = range(1, n_max + 1)
+    constrained = _constrained_sweep(matrices, omega, n_max, norm, spectral=lengths)
+    lifted = _lifted_sweep(lift_set(matrices, omega), n_max, norm, spectral=lengths)
+    report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
     return VerificationReport(
         equality_checks=tuple(
             _equality_check(n, constrained, lifted) for n in lengths

@@ -2,9 +2,10 @@
 
 The reference walks itertools.product over the whole alphabet, keeps the
 words that words.classify accepts, folds each product explicitly and
-takes its norms and eigenvalue moduli with plain numpy.  Shrinking the
-chunk size to a single word forces every expansion through many chunks
-and many spectral-kernel calls.
+takes its norms and eigenvalue moduli with plain numpy, over every word
+of a class (the engine sends one word per rotation class to the
+spectral kernel).  Shrinking the chunk size to a single word forces
+every expansion through many chunks and many spectral-kernel calls.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from markovjsr import (
     enumerate_words,
     operator_norm,
     rho_n,
+    spectral_radii,
     window_words,
 )
 from markovjsr import radius
@@ -81,14 +83,15 @@ def check_engine(mats: MatrixSet, om: TransitionMatrix, n_max: int) -> None:
         sweep = radius._sweep(automaton, stack, n_max, partial(operator_norm, kind=kind))
         assert np.array_equal(sweep.counts, counts)
         np.testing.assert_allclose(sweep.norm_sup, norms[kind], rtol=1e-12, atol=0)
-    for cls in WordClass:
-        sweep = radius._sweep(
-            automaton, stack, n_max, partial(operator_norm, kind=NormKind.ROWSUM), cls
-        )
-        col = cls.strictness
-        np.testing.assert_allclose(
-            sweep.spectral_sup[:, col], spectral[:, col], rtol=1e-7, atol=1e-12
-        )
+    sweep = radius._sweep(
+        automaton, stack, n_max, partial(operator_norm, kind=NormKind.ROWSUM),
+        spectral=range(1, n_max + 1),
+    )
+    np.testing.assert_allclose(
+        sweep.spectral_sup,
+        spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
+        rtol=1e-7, atol=1e-12,
+    )
 
 
 def random_instance(seed: int, size: int, dim: int, complex_field: bool):
@@ -156,6 +159,66 @@ def test_engine_depth_is_not_bounded_by_recursion_limit():
     n = 3 * sys.getrecursionlimit()
     point = rho_n(mats, TransitionMatrix.from_rows([[1]]), n)
     assert point.value == pytest.approx(0.9, rel=1e-12)
+
+
+def _least_rotation(word: tuple) -> tuple:
+    return min(word[j:] + word[:j] for j in range(len(word)))
+
+
+@pytest.mark.parametrize("letters", [1, 2, 3])
+def test_least_rotations_match_brute_force(letters):
+    for n in range(1, 8):
+        words = list(itertools.product(range(letters), repeat=n))
+        expected = [w == _least_rotation(w) for w in words]
+        assert radius._least_rotations(np.array(words), letters).tolist() == expected
+    # a power is kept once, a one-letter word always
+    powers = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
+    assert radius._least_rotations(powers, 2).tolist() == [True, False, True]
+    assert radius._least_rotations(np.array([[0]] * letters), letters).all()
+
+
+@pytest.mark.parametrize("letters, n", [(3, 45), (2, 70), (200, 9)])
+def test_least_rotations_beyond_int64_numerals(letters, n):
+    rng = np.random.default_rng([letters, n])
+    words = rng.integers(0, letters, (200, n))
+    words[:50] = np.sort(words[:50], axis=1)  # sorted words are least rotations
+    period = next(p for p in (3, 5) if n % p == 0)
+    words[50:60] = np.tile(words[50:60, : n // period], period)  # powers
+    expected = [tuple(w) == _least_rotation(tuple(w)) for w in words.tolist()]
+    assert radius._least_rotations(words, letters).tolist() == expected
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_kernel_sees_one_word_per_rotation_class(tiny):
+    om = TransitionMatrix.from_rows([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    mats = MatrixSet.from_members(list(np.random.default_rng(3).standard_normal((3, 2, 2))))
+    n_max = 7
+    sent = []
+
+    def recording(stack):
+        sent.append(len(stack))
+        return spectral_radii(stack)
+
+    with mock.patch.object(radius, "spectral_radii", recording):
+        with tiny_chunks() if tiny else contextlib.nullcontext():
+            sweep = radius._sweep(
+                radius._Automaton.from_omega(om), np.stack(mats.members), n_max,
+                operator_norm, spectral=range(1, n_max + 1),
+            )
+    classes = {
+        _least_rotation(w)
+        for n in range(1, n_max + 1)
+        for w in itertools.product(range(1, 4), repeat=n)
+        if WordClass.PERIODICALLY_EXTENDABLE in classify(w, om)
+    }
+    assert sum(sent) == len(classes)
+    if tiny:
+        assert len(sent) > 1
+    _, _, spectral = reference(mats, om, n_max)
+    np.testing.assert_allclose(
+        sweep.spectral_sup, spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
+        rtol=1e-12, atol=0,
+    )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -5,8 +5,11 @@ The instances in tests/data are the four benchmark instances at seed 0
 one, and sparse-chain.lift.json is the full-precision lift the benchmark
 passes to `verify --claimed-lift`).  Each golden file holds the JSON
 report that the command printed before the product engine replaced the
-per-word walkers; regenerate one only for an intended change of output,
-by running the command from tests/data with `--format json`.
+per-word walkers, except kstep-bounds and kstep-verify: their n=1
+periodic value moved in the 12th digit to the mpmath value when LAPACK
+eigenvalues replaced the squaring kernel.  Regenerate one only for an
+intended change of output, by running the command from tests/data with
+`--format json`.
 """
 
 from pathlib import Path

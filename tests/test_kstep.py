@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from markovjsr import (
     sandwich,
     window_words,
 )
+from markovjsr.instancefile import load_instance
 
+DATA = Path(__file__).resolve().parent / "data"
 SQRT6 = math.sqrt(6.0)
 
 GOLDEN_ALLOWED_K1 = frozenset({(1, 1), (1, 2), (2, 1)})
@@ -241,6 +244,27 @@ def test_equivalence_tolerances_scale_with_the_rate():
     assert report.agrees
     assert not replace(report, best_lower_direct=1.01 * report.best_lower_direct).agrees
     assert report.upper_tol < report.best_upper_recoded
+
+
+def test_direct_upper_cap_check_is_relative():
+    # at a rate near 1e-60 an absolute floor accepts a direct upper value
+    # a hundred times the certified cap
+    mats = MatrixSet.from_members([np.array([[2e-60]]), np.array([[3e-60]])])
+    constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
+    report = radius_equivalence_check(constraint, mats, 3)
+    assert report.direct_upper_within_cap
+    inflated = replace(report, best_upper_direct=100 * report.direct_upper_cap)
+    assert not inflated.direct_upper_within_cap
+    assert not inflated.agrees
+
+
+def test_equivalence_check_agrees_at_a_tiny_scale():
+    # a power-of-two scaling is exact, so the relative checks see the same
+    # instance; n_max 5 keeps every product (length <= 6) above the subnormals
+    instance = load_instance(DATA / "kstep-order2.json")
+    scaled = instance.matrices.scaled(2.0**-150)
+    for mats in (instance.matrices, scaled):
+        assert radius_equivalence_check(instance.kstep, mats, 5).agrees
 
 
 def test_recode_checks_alphabet_size(scalar_pair):

@@ -12,7 +12,7 @@ from markovjsr import (
     enumerate_words,
     lift_set,
     omega_factor,
-    spectral_radius,
+    spectral_radii,
 )
 from tests.conftest import chain_ok, fold_product, random_binary_rows
 
@@ -154,8 +154,10 @@ def test_spectral_radius_transfers_on_periodic_words():
         if not words:
             continue
         word = words[int(rng.integers(0, len(words)))]
-        lifted_radius = spectral_radius(fold_product(lifted.members, word))
-        base_radius = spectral_radius(fold_product(mats.members, word))
+        lifted_radius, base_radius = (
+            spectral_radii(fold_product(family.members, word)[None])[0]
+            for family in (lifted, mats)
+        )
         assert lifted_radius == pytest.approx(base_radius, rel=1e-7, abs=1e-10)
         checked += 1
 

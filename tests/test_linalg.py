@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,18 +12,16 @@ from markovjsr import (
     NormKind,
     TransitionMatrix,
     ValidationError,
+    WordClass,
     block_norm,
+    classify,
     lift_set,
     omega_factor,
     operator_norm,
     spectral_radii,
-    spectral_radius,
 )
-from tests.conftest import FOUR_LETTER_ROWS
-
-
-def _rowsum(m):
-    return float(np.abs(m).sum(axis=1).max())
+from markovjsr.linalg import REL_TOL
+from tests.conftest import FOUR_LETTER_ROWS, fold_product
 
 
 # ------------------------------------------------------- factor products
@@ -134,27 +134,68 @@ def test_norms_of_a_stack_equal_norms_of_each_matrix(kind):
 # --------------------------------------------------------- spectral radius
 
 
+def _rho(m) -> float:
+    return float(spectral_radii(np.asarray(m)[None])[0])
+
+
+def _mp_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus from mpmath at 30 significant digits."""
+    with mpmath.workdps(30):
+        eigenvalues = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
+        return float(max(abs(e) for e in eigenvalues))
+
+
 def test_spectral_radius_identity():
-    assert spectral_radius(np.eye(4)) == pytest.approx(1.0, rel=1e-9)
+    assert _rho(np.eye(4)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_spectral_radius_nilpotent_is_exactly_zero():
-    assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+    assert _rho(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
 
 
 def test_spectral_radius_zero_matrix_is_exactly_zero():
-    assert spectral_radius(np.zeros((3, 3))) == 0.0
+    assert _rho(np.zeros((3, 3))) == 0.0
+
+
+def test_spectral_radii_square_zero_is_exactly_zero_without_warnings():
+    # eigvals would return noise of about sqrt(eps) * ||M|| for these
+    stack = np.stack([
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 1.0], [-1.0, -1.0]]),
+        1e300 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+        2.0**-1000 * np.array([[1.0, 1.0], [-1.0, -1.0]]),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(spectral_radii(stack), np.zeros(4))
+
+
+def test_spectral_radii_lifted_non_periodic_product_is_exactly_zero(four_letter_omega):
+    # an admissible word that is not periodically extendable lifts to a
+    # product with one off-diagonal block column, so its square is zero
+    rng = np.random.default_rng(5)
+    mats = MatrixSet.from_members(list(rng.standard_normal((4, 3, 3))))
+    lifted = lift_set(mats, four_letter_omega)
+    word = (1, 3, 2)
+    assert WordClass.MARKOV in classify(word, four_letter_omega)
+    assert WordClass.PERIODICALLY_EXTENDABLE not in classify(word, four_letter_omega)
+    product = fold_product(lifted.members, word)
+    assert np.abs(product).max() > 0
+    assert not (product @ product).any()
+    assert _rho(product) == 0.0
 
 
 def test_spectral_radius_two_by_two_golden():
     # roots of x^2 - 3x + 1: largest is (3 + sqrt(5)) / 2
     m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    assert spectral_radius(m) == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-9)
+    assert _rho(m) == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-9)
 
 
 def test_spectral_radius_rejects_non_square():
     with pytest.raises(ValidationError, match="square"):
-        spectral_radius(np.zeros((2, 3)))
+        spectral_radii(np.zeros((1, 2, 3)))
+    with pytest.raises(ValidationError, match="square"):
+        spectral_radii(np.eye(3))
 
 
 def test_spectral_radius_matches_eigvals_oracle():
@@ -164,7 +205,7 @@ def test_spectral_radius_matches_eigvals_oracle():
         d = int(rng.integers(1, 7))
         m = rng.uniform(-1, 1, (d, d))
         want = float(max(abs(np.linalg.eigvals(m))))
-        got = spectral_radius(m)
+        got = _rho(m)
         worst = max(worst, abs(got - want) / (1.0 + want))
     assert worst <= 1e-8
 
@@ -175,39 +216,30 @@ def test_spectral_radius_complex_matches_eigvals_oracle():
         d = int(rng.integers(1, 6))
         m = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
         want = float(max(abs(np.linalg.eigvals(m))))
-        assert spectral_radius(m) == pytest.approx(want, rel=1e-8, abs=1e-10)
+        assert _rho(m) == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
-def test_repeated_squaring_path_consistent_with_eigvals():
-    # independent path: raw scaled squaring implemented inline, no extrapolation
-    def raw_estimate(m, squarings):
-        scale = _rowsum(m)
-        b = m / scale
-        log_scale = math.log(scale)
-        for k in range(1, squarings + 1):
-            sq = b @ b
-            c = _rowsum(sq)
-            if c == 0.0:
-                return 0.0
-            b = sq / c
-            log_scale = 2.0 * log_scale + math.log(c)
-        return math.exp(log_scale / 2.0**squarings)
-
-    rng = np.random.default_rng(4242)
-    for _ in range(20):
-        m = rng.uniform(-1, 1, (4, 4))
-        want = float(max(abs(np.linalg.eigvals(m))))
-        # raw norm estimates close slowly (O(1/2^k)); extrapolated library value is tight
-        assert abs(raw_estimate(m, 20) - want) <= 1e-5
-        assert abs(spectral_radius(m) - want) <= 1e-6
+@pytest.mark.parametrize(
+    "dim, count, complex_field",
+    [(2, 40, False), (4, 30, False), (8, 12, False), (3, 12, True), (16, 3, True)],
+)
+def test_spectral_radii_within_rel_tol_of_mpmath(dim, count, complex_field):
+    rng = np.random.default_rng([dim, count, complex_field])
+    stack = rng.standard_normal((count, dim, dim))
+    if complex_field:
+        stack = stack + 1j * rng.standard_normal((count, dim, dim))
+    got = spectral_radii(stack)
+    want = np.array([_mp_radius(m) for m in stack])
+    assert np.all(np.abs(got - want) <= REL_TOL * want)
 
 
 def test_spectral_radii_batch_agrees_with_scalar_calls():
     rng = np.random.default_rng(11)
     stack = rng.uniform(-1, 1, (40, 4, 4))
+    stack[::7] = np.triu(stack[::7], 1)  # some strictly triangular, hence nilpotent
     batch = spectral_radii(stack)
-    singles = np.array([spectral_radius(m) for m in stack])
-    assert np.allclose(batch, singles, rtol=1e-9, atol=1e-12)
+    singles = np.array([_rho(m) for m in stack])
+    assert np.array_equal(batch, singles)
 
 
 def test_spectral_radii_empty_stack():
@@ -215,13 +247,15 @@ def test_spectral_radii_empty_stack():
 
 
 def test_spectral_radius_survives_extreme_scales():
-    assert spectral_radius(1e150 * np.eye(3)) == pytest.approx(1e150, rel=1e-9)
-    assert spectral_radius(1e-150 * np.eye(3)) == pytest.approx(1e-150, rel=1e-9)
+    assert _rho(1e150 * np.eye(3)) == pytest.approx(1e150, rel=1e-9)
+    assert _rho(1e-150 * np.eye(3)) == pytest.approx(1e-150, rel=1e-9)
+    # the square of this one underflows to zero unless it is scaled first
+    assert _rho(1e-300 * np.eye(3)) == pytest.approx(1e-300, rel=1e-9)
     rng = np.random.default_rng(2)
     m = rng.uniform(-1, 1, (4, 4))
     want = float(max(abs(np.linalg.eigvals(m))))
     for scale in (1e120, 1e-120):
-        assert spectral_radius(scale * m) == pytest.approx(scale * want, rel=1e-8)
+        assert _rho(scale * m) == pytest.approx(scale * want, rel=1e-8)
 
 
 # ------------------------------------------------------ shared properties
@@ -258,9 +292,7 @@ def test_scaling_homogeneity(dim, seed, c):
     m = rng.uniform(-1, 1, (dim, dim))
     for kind in NormKind:
         assert operator_norm(c * m, kind) == pytest.approx(abs(c) * operator_norm(m, kind), rel=1e-12)
-    assert spectral_radius(c * m) == pytest.approx(
-        abs(c) * spectral_radius(m), rel=1e-9, abs=1e-12
-    )
+    assert _rho(c * m) == pytest.approx(abs(c) * _rho(m), rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,4 +303,4 @@ def test_spectral_radius_permutation_similarity(dim, seed):
     perm = rng.permutation(dim)
     p = np.eye(dim)[perm]
     similar = p.T @ m @ p
-    assert spectral_radius(similar) == pytest.approx(spectral_radius(m), rel=1e-9, abs=1e-12)
+    assert _rho(similar) == pytest.approx(_rho(m), rel=1e-9, abs=1e-12)

@@ -28,7 +28,7 @@ from markovjsr import (
     verify_lift_equalities,
 )
 from markovjsr import radius
-from markovjsr.radius import ClassChainCheck, LiftEqualityCheck
+from markovjsr.radius import ClassChainCheck, CrossBound, LiftEqualityCheck
 from tests.conftest import (
     brute_norm_bound,
     brute_spectral_bound,
@@ -488,6 +488,14 @@ def test_class_chain_check_slack_is_relative():
     assert not ClassChainCheck(n=1, values=(1e-120, 1e-120, 2e-120, 1e-120)).ok
     assert ClassChainCheck(n=1, values=(1e-120, 1e-120, 2e-120, 2e-120)).ok
     assert ClassChainCheck(n=1, values=(0.0, 0.0, 1.0, 1.0 - 1e-13)).ok
+
+
+def test_cross_bound_slack_is_relative():
+    # a doubling at 1e-300 is a violation, however small in absolute terms
+    assert not CrossBound(n=2, chain_value=2e-300, cap=1e-300).ok
+    assert CrossBound(n=2, chain_value=1e-300, cap=1e-300).ok
+    assert CrossBound(n=2, chain_value=0.0, cap=0.0).ok
+    assert CrossBound(n=2, chain_value=1.0 + 1e-13, cap=1.0).ok
 
 
 def test_lift_equality_tolerances_are_relative(golden_mean_omega):
