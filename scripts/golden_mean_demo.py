@@ -14,15 +14,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from markovjsr import (
-    MatrixSet,
-    TransitionMatrix,
-    lift_set,
-    rho_hat_n_lifted,
-    rho_n_lifted,
-    sandwich,
-    verify_lift_equalities,
-)
+from markovjsr import MatrixSet, TransitionMatrix, full_verification, sandwich
 
 
 def main() -> None:
@@ -44,15 +36,11 @@ def main() -> None:
     print(f"best_lower = {report.best_lower:.12f} at n = {report.best_lower_n}")
     print(f"gap = {report.gap:.3e}")
 
-    lifted = lift_set(mats, omega)
     print("\nlift equalities (dense block products vs constrained enumeration):")
-    for n in range(1, 7):
-        check = verify_lift_equalities(mats, omega, n)
-        dense_norm = rho_n_lifted(lifted, n).value
-        dense_spec = rho_hat_n_lifted(lifted, n).value
+    for check in full_verification(mats, omega, 6).equality_checks:
         print(
-            f"  n={n}: norm {dense_norm:.12f} == {check.norm_constrained:.12f}, "
-            f"spectral {dense_spec:.12f} == {check.spectral_periodic:.12f} "
+            f"  n={check.n}: norm {check.norm_lifted:.12f} == {check.norm_constrained:.12f}, "
+            f"spectral {check.spectral_lifted:.12f} == {check.spectral_periodic:.12f} "
             f"-> {'ok' if check.passed else 'MISMATCH'}"
         )
 

@@ -15,12 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from markovjsr import (
-    MatrixSet,
-    TransitionMatrix,
-    has_arbitrarily_long_words,
-    verify_lift_equalities,
-)
+from markovjsr import MatrixSet, TransitionMatrix, full_verification, surviving_nodes
 
 
 def draw_instance(rng, max_letters, max_dim):
@@ -28,7 +23,7 @@ def draw_instance(rng, max_letters, max_dim):
         size = int(rng.integers(1, max_letters + 1))
         dim = int(rng.integers(1, max_dim + 1))
         omega = TransitionMatrix.from_rows(rng.integers(0, 2, (size, size)))
-        if not has_arbitrarily_long_words(omega):
+        if not surviving_nodes(omega):
             continue
         members = [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
         return MatrixSet.from_members(members), omega
@@ -49,8 +44,7 @@ def main() -> None:
     start = time.perf_counter()
     for count in range(1, args.instances + 1):
         mats, omega = draw_instance(rng, args.letters, args.dim)
-        for n in range(1, args.n_max + 1):
-            check = verify_lift_equalities(mats, omega, n)
+        for check in full_verification(mats, omega, args.n_max).equality_checks:
             # the relative differences the checks bound (both sides 0 -> diff 0)
             scale_norm = max(check.norm_lifted, check.norm_constrained) or 1.0
             scale_spec = max(check.spectral_lifted, check.spectral_periodic) or 1.0
@@ -59,7 +53,7 @@ def main() -> None:
             if not check.passed:
                 failures += 1
                 print(
-                    f"MISMATCH instance {count} n={n}: "
+                    f"MISMATCH instance {count} n={check.n}: "
                     f"norm diff {check.norm_diff:.3e}, spectral diff {check.spectral_diff:.3e}"
                 )
     elapsed = time.perf_counter() - start

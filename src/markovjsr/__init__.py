@@ -12,7 +12,6 @@ from markovjsr.core import (
     TransitionMatrix,
     ValidationError,
     WordClass,
-    has_arbitrarily_long_words,
     surviving_nodes,
     validate_instance,
     validate_word,
@@ -43,14 +42,8 @@ from markovjsr.radius import (
     VerificationReport,
     alternative_class_chain,
     audit_factor_structure,
-    classical_bounds,
     full_verification,
-    rho_hat_n,
-    rho_hat_n_lifted,
-    rho_n,
-    rho_n_lifted,
     sandwich,
-    verify_lift_equalities,
 )
 from markovjsr.words import classify, count_words, enumerate_words
 
@@ -62,7 +55,6 @@ __all__ = [
     "TransitionMatrix",
     "ValidationError",
     "WordClass",
-    "has_arbitrarily_long_words",
     "surviving_nodes",
     "validate_instance",
     "validate_word",
@@ -81,13 +73,7 @@ __all__ = [
     "SandwichReport",
     "LiftEqualityCheck",
     "VerificationReport",
-    "rho_n",
-    "rho_hat_n",
-    "rho_n_lifted",
-    "rho_hat_n_lifted",
-    "verify_lift_equalities",
     "sandwich",
-    "classical_bounds",
     "alternative_class_chain",
     "audit_factor_structure",
     "full_verification",

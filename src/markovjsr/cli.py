@@ -179,15 +179,14 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt)
             head_extra["state_count"] = len(rec.states)
         report = _report_head("bounds", instance, **head_extra)
         if class_chain:
-            rows = []
-            for n in range(1, n_max + 1):
-                pts = alternative_class_chain(matrices, omega, n, kind)
-                rows.append({
+            report["class_chain"] = [
+                {
                     "n": n,
                     "values": [sig12(p.value) for p in pts],
                     "empty": [p.empty_word_set for p in pts],
-                })
-            report["class_chain"] = rows
+                }
+                for n, pts in enumerate(alternative_class_chain(matrices, omega, n_max, kind), 1)
+            ]
         else:
             result = sandwich(matrices, omega, n_max, norm=kind, upper_class=WordClass(word_class))
             report["alpha"] = sig12(result.alpha)

@@ -21,7 +21,6 @@ __all__ = [
     "validate_instance",
     "validate_word",
     "surviving_nodes",
-    "has_arbitrarily_long_words",
 ]
 
 
@@ -222,7 +221,9 @@ def surviving_nodes(omega: TransitionMatrix) -> frozenset[int]:
 
     Greatest set S such that every node of S has a successor inside S;
     equivalently, the nodes whose forward walks reach a cycle.  Empty iff
-    the transition digraph is acyclic.
+    the transition digraph is acyclic, that is iff the words of every
+    class have bounded length: going around a cycle a whole number of
+    times gives periodically extendable words of unbounded length.
     """
     adj = omega.entries
     alive = list(range(omega.size))
@@ -232,13 +233,3 @@ def surviving_nodes(omega: TransitionMatrix) -> frozenset[int]:
             return frozenset(j + 1 for j in alive)
         alive = keep
 
-
-def has_arbitrarily_long_words(omega: TransitionMatrix) -> bool:
-    """Whether words occur at unboundedly large lengths, in any class.
-
-    The answer does not depend on the class: a cycle in the transition
-    digraph yields words of unbounded length in all four classes (going
-    around the cycle a whole number of times closes periodically), while
-    without a cycle no chain can be longer than the number of letters.
-    """
-    return bool(surviving_nodes(omega))

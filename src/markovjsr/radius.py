@@ -28,7 +28,7 @@ the lexicographically least rotation stands for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -55,16 +55,10 @@ __all__ = [
     "SPECTRAL_TOL",
     "BoundKind",
     "BoundSequencePoint",
-    "rho_n",
-    "rho_hat_n",
-    "rho_n_lifted",
-    "rho_hat_n_lifted",
     "LiftEqualityCheck",
-    "verify_lift_equalities",
     "CrossBound",
     "SandwichReport",
     "sandwich",
-    "classical_bounds",
     "alternative_class_chain",
     "FactorStructureAudit",
     "audit_factor_structure",
@@ -98,19 +92,12 @@ class BoundKind(Enum):
 
 @dataclass(frozen=True)
 class BoundSequencePoint:
-    """One finite-length bound value.
-
-    ``lifted`` points range over every word of the given length on the
-    lifted family (their word set is never empty and they are tagged with
-    the CHAIN class of the complete digraph); unlifted points range over
-    the words of ``word_class``.
-    """
+    """One finite-length bound value over the words of ``word_class``."""
 
     n: int
     value: float
     kind: BoundKind
     word_class: WordClass
-    lifted: bool
     empty_word_set: bool
 
     def __post_init__(self):
@@ -266,7 +253,7 @@ class _Sweep:
         sup = self.norm_sup[n, column] if kind is BoundKind.NORM else self.spectral_sup[n]
         return BoundSequencePoint(
             n=n, value=0.0 if empty else float(sup) ** (1.0 / n), kind=kind,
-            word_class=word_class, lifted=False, empty_word_set=empty,
+            word_class=word_class, empty_word_set=empty,
         )
 
 
@@ -340,67 +327,20 @@ def _constrained_sweep(
 
 def _lifted_sweep(lifted: LiftedSet, n_max: int, norm: NormKind, **spectral) -> _Sweep:
     """_sweep over every word of the complete alphabet on the lifted family,
-    with block norms: the dense oracle of the lift equalities."""
+    with block norms: the dense oracle of the lift equalities.
+
+    By the rank-one factor algebra, lifted products vanish off the
+    admissible words and otherwise repeat the base product down a single
+    block column, which is nilpotent unless the word is periodically
+    extendable; so its CHAIN-class norm values equal the base family's
+    Markov-class ones, and its spectral values the periodic-class ones.
+    """
     return _sweep(
         _Automaton.from_omega(TransitionMatrix.complete(lifted.blocks)),
         np.stack(lifted.members), n_max,
         partial(block_norm, blocks=lifted.blocks, block_dim=lifted.block_dim, inner=norm),
         **spectral,
     )
-
-
-def rho_n(
-    matrices: MatrixSet,
-    omega: TransitionMatrix,
-    n: int,
-    word_class: WordClass = WordClass.MARKOV,
-    norm: NormKind = NormKind.ROWSUM,
-) -> BoundSequencePoint:
-    """Norm bound: sup over length-n words of the class of ||product||^(1/n)."""
-    validate_instance(matrices, omega)
-    _check_length(n)
-    return _constrained_sweep(matrices, omega, n, norm).point(n, word_class, BoundKind.NORM)
-
-
-def rho_hat_n(matrices: MatrixSet, omega: TransitionMatrix, n: int) -> BoundSequencePoint:
-    """Spectral bound: sup over periodically extendable length-n words of
-    rho(product)^(1/n)."""
-    validate_instance(matrices, omega)
-    _check_length(n)
-    sweep = _constrained_sweep(matrices, omega, n, NormKind.ROWSUM, spectral=range(n, n + 1))
-    return sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL)
-
-
-def rho_n_lifted(
-    lifted: LiftedSet,
-    n: int,
-    norm: NormKind = NormKind.ROWSUM,
-) -> BoundSequencePoint:
-    """Norm bound over ALL length-n words on the lifted family.
-
-    Multiplies the full block matrices for every word of the complete
-    alphabet and takes the block norm: the independent dense oracle.  By
-    the rank-one factor algebra, products vanish off the admissible words
-    and otherwise repeat the base product down a single block column, so
-    the value equals rho_n on the base family with the Markov class.
-    """
-    _check_length(n)
-    point = _lifted_sweep(lifted, n, norm).point(n, WordClass.CHAIN, BoundKind.NORM)
-    return replace(point, lifted=True)
-
-
-def rho_hat_n_lifted(lifted: LiftedSet, n: int) -> BoundSequencePoint:
-    """Spectral bound over ALL length-n words on the lifted family, by the
-    same dense oracle.
-
-    Only periodically extendable words can contribute: forbidden words
-    give the zero product and admissible non-periodic ones give a single
-    off-diagonal block column, hence a nilpotent product; so the value
-    equals rho_hat_n on the base family with the periodic class.
-    """
-    _check_length(n)
-    sweep = _lifted_sweep(lifted, n, NormKind.ROWSUM, spectral=range(n, n + 1))
-    return replace(sweep.point(n, WordClass.CHAIN, BoundKind.SPECTRAL), lifted=True)
 
 
 @dataclass(frozen=True)
@@ -445,24 +385,6 @@ class LiftEqualityCheck:
         return self.norm_ok and self.spectral_ok
 
 
-def verify_lift_equalities(
-    matrices: MatrixSet,
-    omega: TransitionMatrix,
-    n: int,
-    norm: NormKind = NormKind.ROWSUM,
-) -> LiftEqualityCheck:
-    """Check the two lift equalities at length n by computing all four sides,
-    to the relative tolerances NORM_TOL and SPECTRAL_TOL."""
-    validate_instance(matrices, omega)
-    _check_length(n)
-    only_n = range(n, n + 1)
-    return _equality_check(
-        n,
-        _constrained_sweep(matrices, omega, n, norm, spectral=only_n),
-        _lifted_sweep(lift_set(matrices, omega), n, norm, spectral=only_n),
-    )
-
-
 def _equality_check(n: int, constrained: _Sweep, lifted: _Sweep) -> LiftEqualityCheck:
     return LiftEqualityCheck(
         n=n,
@@ -488,10 +410,6 @@ class CrossBound:
     n: int
     chain_value: float
     cap: float
-
-    @property
-    def slack(self) -> float:
-        return self.cap - self.chain_value
 
     @property
     def ok(self) -> bool:
@@ -608,27 +526,23 @@ def _sandwich_report(
     )
 
 
-def classical_bounds(
-    matrices: MatrixSet, n_max: int, norm: NormKind = NormKind.ROWSUM
-) -> SandwichReport:
-    """Unconstrained sandwich: every transition allowed."""
-    return sandwich(matrices, TransitionMatrix.complete(matrices.size), n_max, norm=norm)
-
-
 def alternative_class_chain(
     matrices: MatrixSet,
     omega: TransitionMatrix,
-    n: int,
+    n_max: int,
     norm: NormKind = NormKind.ROWSUM,
-) -> tuple[BoundSequencePoint, BoundSequencePoint, BoundSequencePoint, BoundSequencePoint]:
-    """Norm bounds for the four classes at one length, weakest-class last.
+) -> tuple[tuple[BoundSequencePoint, ...], ...]:
+    """Norm bounds for the four classes at every length 1..n_max, from one
+    sweep: row n-1 holds length n, weakest-class last.
 
-    Ordered (periodic, infinite, admissible, chain); containment of the
-    word sets makes the values nondecreasing left to right.
+    Each row is ordered (periodic, infinite, admissible, chain);
+    containment of the word sets makes its values nondecreasing left to
+    right.
     """
     validate_instance(matrices, omega)
-    _check_length(n)
-    return _class_chain(_constrained_sweep(matrices, omega, n, norm), n)
+    _check_length(n_max)
+    sweep = _constrained_sweep(matrices, omega, n_max, norm)
+    return tuple(_class_chain(sweep, n) for n in range(1, n_max + 1))
 
 
 def _class_chain(sweep: _Sweep, n: int) -> tuple[BoundSequencePoint, ...]:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from markovjsr import MatrixSet, TransitionMatrix
+from markovjsr import MatrixSet, TransitionMatrix, radius
 
 
 @pytest.fixture
@@ -116,6 +116,19 @@ def brute_spectral_bound(members, rows, n, kind="periodic") -> float:
 
 def random_binary_rows(rng, size):
     return [[int(v) for v in row] for row in rng.integers(0, 2, (size, size))]
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Record the n_max of every call of the product engine's sweep."""
+    calls = []
+    sweep = radius._sweep
+
+    def counted(automaton, members, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return sweep(automaton, members, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(radius, "_sweep", counted)
+    return calls
 
 
 def write_instance(tmp_path, doc, name="instance.json"):

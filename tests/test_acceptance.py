@@ -23,16 +23,15 @@ from markovjsr import (
     audit_factor_structure,
     count_words,
     enumerate_words,
-    has_arbitrarily_long_words,
+    full_verification,
     lift_set,
     omega_factor,
     operator_norm,
     original_to_recoded,
     radius_equivalence_check,
     recode,
-    rho_n,
     sandwich,
-    verify_lift_equalities,
+    surviving_nodes,
     window_words,
 )
 from tests.conftest import FOUR_LETTER_ROWS, random_binary_rows
@@ -51,7 +50,7 @@ def _random_cyclic_instance(rng, max_letters=4, max_dim=3):
         size = int(rng.integers(1, max_letters + 1))
         dim = int(rng.integers(1, max_dim + 1))
         om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-        if has_arbitrarily_long_words(om):
+        if surviving_nodes(om):
             mats = MatrixSet.from_members(
                 [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
             )
@@ -108,8 +107,7 @@ def test_criterion_2_randomized_lift_equalities():
     worst_norm = worst_spec = 0.0
     ok = True
     for mats, om in _criterion2_family(200):
-        for n in range(1, 6):
-            check = verify_lift_equalities(mats, om, n)
+        for check in full_verification(mats, om, 5).equality_checks:
             ok &= check.norm_ok and check.spectral_ok
             worst_norm = max(
                 worst_norm,
@@ -213,8 +211,7 @@ def test_criterion_5_inequality_suites():
     )
     for mats, om in _criterion2_family(200):
         values = {}
-        for n in range(1, 6):
-            points = alternative_class_chain(mats, om, n)
+        for n, points in enumerate(alternative_class_chain(mats, om, 5), 1):
             vals = [p.value for p in points]
             ok &= all(
                 vals[i] <= vals[i + 1] * (1 + 1e-12) + 1e-15 for i in range(3)
@@ -228,8 +225,7 @@ def test_criterion_5_inequality_suites():
     # a strict gap between the chain and admissible bounds
     gap_mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     gap_om = TransitionMatrix.from_rows([[0, 0], [1, 0]])
-    chain_point = rho_n(gap_mats, gap_om, 2, WordClass.CHAIN)
-    markov_point = rho_n(gap_mats, gap_om, 2, WordClass.MARKOV)
+    _, _, markov_point, chain_point = alternative_class_chain(gap_mats, gap_om, 2)[1]
     ok &= chain_point.value == pytest.approx(SQRT6, rel=1e-12)
     ok &= markov_point.value == 0.0 and markov_point.empty_word_set
     elapsed = time.perf_counter() - start
@@ -246,7 +242,8 @@ def test_criterion_6_power_submultiplicativity():
     start = time.perf_counter()
     ok = True
     for mats, om in _criterion2_family(200):
-        values = {n: rho_n(mats, om, n).value for n in range(1, 8)}
+        rows = alternative_class_chain(mats, om, 7)
+        values = {n: markov.value for n, (_, _, markov, _) in enumerate(rows, 1)}
         for m in range(1, 7):
             for n in range(1, 8 - m):
                 lhs = values[m + n] ** (m + n)

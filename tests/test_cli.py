@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from markovjsr.cli import main
 from markovjsr.instancefile import parse_instance
-from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, write_instance
+from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, count_sweeps, write_instance
 
 SQRT6 = math.sqrt(6.0)
 
@@ -86,6 +86,24 @@ def test_bounds_class_chain_table(runner, tmp_path):
     for row in report["class_chain"]:
         vals = row["values"]
         assert vals == sorted(vals)  # periodic <= infinite <= markov <= chain
+
+
+def test_bounds_class_chain_makes_one_sweep(runner, tmp_path, monkeypatch):
+    calls = count_sweeps(monkeypatch)
+    path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
+    result = invoke(runner, "bounds", str(path), "--n-max", "6", "--class-chain", "--format", "json")
+    assert result.exit_code == 0
+    assert [row["n"] for row in json.loads(result.output)["class_chain"]] == [1, 2, 3, 4, 5, 6]
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_bounds_class_chain_rejects_non_positive_n_max(runner, tmp_path, n_max):
+    path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
+    result = invoke(runner, "bounds", str(path), "--n-max", n_max, "--class-chain")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "word length must be positive" in result.stderr
 
 
 def test_bounds_kstep_instance_recodes_first(runner, tmp_path):

@@ -10,7 +10,6 @@ from markovjsr import (
     TransitionMatrix,
     ValidationError,
     WordClass,
-    has_arbitrarily_long_words,
     surviving_nodes,
     validate_instance,
     validate_word,
@@ -92,19 +91,19 @@ def test_validate_word_range_and_emptiness():
 
 
 def test_arbitrarily_long_words_self_loop():
-    assert has_arbitrarily_long_words(TransitionMatrix.from_rows([[1]]))
+    assert surviving_nodes(TransitionMatrix.from_rows([[1]]))
 
 
 def test_arbitrarily_long_words_acyclic_two_letters():
     # digraph has only the edge 1 -> 2; brute force confirms no length-3 chain
     rows = [[0, 0], [1, 0]]
     assert brute_words(rows, 3, "chain") == []
-    assert not has_arbitrarily_long_words(TransitionMatrix.from_rows(rows))
+    assert not surviving_nodes(TransitionMatrix.from_rows(rows))
 
 
 def test_arbitrarily_long_words_four_letter_reference(four_letter_omega):
     # the (1,1) self-loop alone guarantees a cycle
-    assert has_arbitrarily_long_words(four_letter_omega)
+    assert surviving_nodes(four_letter_omega)
 
 
 def test_surviving_nodes_prunes_dead_tails():
@@ -126,7 +125,7 @@ def test_cycle_criterion_matches_brute_force(size, seed):
         chain_ok(rows, word)
         for word in itertools.product(range(1, size + 1), repeat=size + 1)
     )
-    assert has_arbitrarily_long_words(om) == brute
+    assert bool(surviving_nodes(om)) == brute
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,7 +138,7 @@ def test_cycle_criterion_serves_periodic_class(size, seed):
     brute_periodic_long = any(
         brute_words(rows, n, "periodic") for n in range(size + 1, 2 * size + 1)
     )
-    assert has_arbitrarily_long_words(om) == brute_periodic_long
+    assert bool(surviving_nodes(om)) == brute_periodic_long
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,7 +151,7 @@ def test_every_column_nonzero_implies_unbounded_words(size, seed):
         if not any(rows[i][j] for i in range(size)):
             rows[rng.integers(0, size)][j] = 1
     om = TransitionMatrix.from_rows(rows)
-    assert has_arbitrarily_long_words(om)
+    assert surviving_nodes(om)
 
 
 def test_scaled_family_keeps_field_and_scales_members():

@@ -27,11 +27,11 @@ from markovjsr import (
     NormKind,
     TransitionMatrix,
     WordClass,
+    alternative_class_chain,
     classify,
     cyclic_words,
     enumerate_words,
     operator_norm,
-    rho_n,
     spectral_radii,
     window_words,
 )
@@ -157,8 +157,11 @@ def test_engine_chunks_split_every_length():
 def test_engine_depth_is_not_bounded_by_recursion_limit():
     mats = MatrixSet.from_members([np.array([[0.9]])])
     n = 3 * sys.getrecursionlimit()
-    point = rho_n(mats, TransitionMatrix.from_rows([[1]]), n)
-    assert point.value == pytest.approx(0.9, rel=1e-12)
+    rows = alternative_class_chain(mats, TransitionMatrix.from_rows([[1]]), n)
+    assert len(rows) == n
+    _, _, markov, _ = rows[-1]
+    assert markov.n == n
+    assert markov.value == pytest.approx(0.9, rel=1e-12)
 
 
 def _least_rotation(word: tuple) -> tuple:

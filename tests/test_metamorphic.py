@@ -3,17 +3,26 @@
 The engine sends one word per rotation class to the spectral kernel and
 chooses it by letter order, so relabeling and transposing the instance
 change which products reach the kernel; every per-length value must
-still agree to rounding.  Scaling by a power of two is exact.
+still agree to rounding.  Scaling by a power of two is exact, and so is
+recoding an order-1 rule, which keeps the letters and their order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markovjsr import MatrixSet, NormKind, TransitionMatrix, WordClass, sandwich
+from markovjsr import (
+    KStepConstraint,
+    MatrixSet,
+    NormKind,
+    TransitionMatrix,
+    WordClass,
+    recode,
+    sandwich,
+)
 from tests.conftest import random_binary_rows
 
 REL = 1e-12
@@ -79,3 +88,33 @@ def test_scaling_by_a_power_of_two_scales_every_value(instance, n_max, k):
     mats, om = random_instance(*instance)
     c = 2.0**k
     assert_points_match(sandwich(mats, om, n_max), sandwich(mats.scaled(c), om, n_max), c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 3), st.booleans()),
+    st.integers(1, 6),
+    st.integers(0, 7),
+    st.integers(0, 7),
+)
+def test_recoding_an_order_one_rule_keeps_every_value(instance, n_max, dead, isolated):
+    # bit b of ``dead`` leaves letter b + 2 (0-based b + 1) without a
+    # successor; bit b of ``isolated`` takes it out of every allowed pair,
+    # so recode drops it, which changes alpha and the cross bounds but no
+    # word of the Markov or periodic class
+    mats, om = random_instance(*instance)
+    entries = om.entries.copy()
+    for letter in range(1, om.size):
+        if (dead | isolated) >> (letter - 1) & 1:
+            entries[:, letter] = 0
+        if isolated >> (letter - 1) & 1:
+            entries[letter, :] = 0
+    allowed = {(j + 1, i + 1) for i, j in zip(*np.nonzero(entries))}
+    assume(allowed)
+    om = TransitionMatrix(size=om.size, entries=entries)
+    rec = recode(KStepConstraint(base_alphabet=om.size, k=1, allowed=allowed), mats)
+    base, recoded = sandwich(mats, om, n_max), sandwich(rec.matrices, rec.omega, n_max)
+    assert recoded.points == base.points
+    assert (recoded.best_lower, recoded.best_lower_n, recoded.best_upper, recoded.best_upper_n) == (
+        base.best_lower, base.best_lower_n, base.best_upper, base.best_upper_n
+    )

@@ -15,23 +15,18 @@ from markovjsr import (
     alternative_class_chain,
     audit_factor_structure,
     operator_norm,
-    classical_bounds,
     full_verification,
-    has_arbitrarily_long_words,
     lift_set,
     omega_factor,
-    rho_hat_n,
-    rho_hat_n_lifted,
-    rho_n,
-    rho_n_lifted,
     sandwich,
-    verify_lift_equalities,
+    surviving_nodes,
 )
 from markovjsr import radius
 from markovjsr.radius import ClassChainCheck, CrossBound, LiftEqualityCheck
 from tests.conftest import (
     brute_norm_bound,
     brute_spectral_bound,
+    count_sweeps,
     fold_product,
     random_binary_rows,
 )
@@ -45,21 +40,46 @@ def _random_cyclic_instance(rng, max_letters=4, max_dim=3):
         size = int(rng.integers(1, max_letters + 1))
         dim = int(rng.integers(1, max_dim + 1))
         om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-        if has_arbitrarily_long_words(om):
+        if surviving_nodes(om):
             mats = MatrixSet.from_members(
                 [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
             )
             return mats, om
 
 
-# ------------------------------------------------------------------ rho_n
+def _by_class(row):
+    return {p.word_class: p for p in row}
+
+
+def _norm_point(mats, om, n, word_class=WordClass.MARKOV):
+    """The length-n norm bound of a class, from the class-chain rows."""
+    return _by_class(alternative_class_chain(mats, om, n)[n - 1])[word_class]
+
+
+def _markov_values(mats, om, n_max):
+    """The Markov-class norm bounds of lengths 1..n_max, by length."""
+    rows = alternative_class_chain(mats, om, n_max)
+    return {n: _by_class(row)[WordClass.MARKOV].value for n, row in enumerate(rows, 1)}
+
+
+def _spectral_point(mats, om, n):
+    """The length-n periodic spectral bound."""
+    return sandwich(mats, om, n).lower_points()[n - 1]
+
+
+def _lift_check(mats, om, n, norm=NormKind.ROWSUM):
+    """The lift equality check at length n, lifted side by the dense oracle."""
+    return full_verification(mats, om, n, norm).equality_checks[n - 1]
+
+
+# ------------------------------------------------------------ norm bounds
 
 
 def test_rho_n_golden_mean_brute_force(golden_mean_scalars, golden_mean_omega):
     # oracle: the three admissible 2-letter words give products {4, 6, 6}
     oracle = brute_norm_bound([m for m in golden_mean_scalars.members], GOLDEN_ROWS, 2, "markov")
     assert oracle == pytest.approx(SQRT6, abs=1e-15)
-    point = rho_n(golden_mean_scalars, golden_mean_omega, 2)
+    point = _norm_point(golden_mean_scalars, golden_mean_omega, 2)
     assert point.value == pytest.approx(oracle, abs=1e-12)
     assert not point.empty_word_set
 
@@ -70,19 +90,20 @@ def test_rho_n_complete_alphabet_equals_classical():
     mats = MatrixSet.from_members(members)
     om = TransitionMatrix.complete(3)
     rows = [[1] * 3] * 3
+    values = _markov_values(mats, om, 4)
     for n in range(1, 5):
         oracle = brute_norm_bound(members, rows, n, "markov")
-        assert rho_n(mats, om, n).value == pytest.approx(oracle, rel=1e-12)
+        assert values[n] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_rho_n_empty_word_set_flag():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 0], [1, 0]])
-    point = rho_n(mats, om, 3)
+    point = _norm_point(mats, om, 3)
     assert point.value == 0.0 and point.empty_word_set
 
 
-# -------------------------------------------------------------- rho_hat_n
+# -------------------------------------------------------- spectral bounds
 
 
 def test_rho_hat_n_golden_mean(golden_mean_scalars, golden_mean_omega):
@@ -90,17 +111,17 @@ def test_rho_hat_n_golden_mean(golden_mean_scalars, golden_mean_omega):
         [m for m in golden_mean_scalars.members], GOLDEN_ROWS, 2, "periodic"
     )
     assert oracle == pytest.approx(SQRT6, abs=1e-15)
-    point = rho_hat_n(golden_mean_scalars, golden_mean_omega, 2)
+    point = _spectral_point(golden_mean_scalars, golden_mean_omega, 2)
     assert point.value == pytest.approx(oracle, rel=1e-9)
     assert point.kind is BoundKind.SPECTRAL
 
 
 def test_rho_hat_n_length_one_needs_self_loops(golden_mean_scalars, golden_mean_omega):
     # only letter 1 loops, so the length-1 periodic bound is rho(A_1) = 2
-    point = rho_hat_n(golden_mean_scalars, golden_mean_omega, 1)
+    point = _spectral_point(golden_mean_scalars, golden_mean_omega, 1)
     assert point.value == pytest.approx(2.0, rel=1e-9)
     no_loops = TransitionMatrix.from_rows([[0, 1], [1, 0]])
-    point = rho_hat_n(golden_mean_scalars, no_loops, 1)
+    point = _spectral_point(golden_mean_scalars, no_loops, 1)
     assert point.value == 0.0 and point.empty_word_set
 
 
@@ -109,8 +130,8 @@ def test_rho_hat_n_singleton_reduces_to_single_matrix_radius():
     mats = MatrixSet.from_members([m])
     om = TransitionMatrix.from_rows([[1]])
     want = float(max(abs(np.linalg.eigvals(m))))
-    for n in range(1, 5):
-        assert rho_hat_n(mats, om, n).value == pytest.approx(want, rel=1e-8)
+    for point in sandwich(mats, om, 4).lower_points():
+        assert point.value == pytest.approx(want, rel=1e-8)
 
 
 # ----------------------------------------------------------- lifted bounds
@@ -120,10 +141,9 @@ def test_rho_n_lifted_length_one_max_member_norm(four_letter_omega):
     rng = np.random.default_rng(23)
     members = [rng.uniform(-1, 1, (2, 2)) for _ in range(4)]
     mats = MatrixSet.from_members(members)
-    lifted = lift_set(mats, four_letter_omega)
     want = max(float(np.abs(m).sum(axis=1).max()) for m in members)
-    assert rho_n_lifted(lifted, 1).value == pytest.approx(want, rel=1e-12)
-    assert rho_n(mats, four_letter_omega, 1).value == pytest.approx(want, rel=1e-12)
+    assert _lift_check(mats, four_letter_omega, 1).norm_lifted == pytest.approx(want, rel=1e-12)
+    assert _norm_point(mats, four_letter_omega, 1).value == pytest.approx(want, rel=1e-12)
 
 
 def test_rho_n_lifted_length_one_skips_letters_without_continuation():
@@ -131,17 +151,16 @@ def test_rho_n_lifted_length_one_skips_letters_without_continuation():
     # only the first member's norm shows up at length 1
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[9.0]])])
     om = TransitionMatrix.from_rows([[1, 0], [1, 0]])
-    lifted = lift_set(mats, om)
-    assert rho_n_lifted(lifted, 1).value == pytest.approx(2.0, rel=1e-12)
-    assert rho_n(mats, om, 1).value == pytest.approx(2.0, rel=1e-12)
+    assert _lift_check(mats, om, 1).norm_lifted == pytest.approx(2.0, rel=1e-12)
+    assert _norm_point(mats, om, 1).value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rho_n_lifted_golden_mean_matches_constrained(
     golden_mean_scalars, golden_mean_omega
 ):
-    lifted = lift_set(golden_mean_scalars, golden_mean_omega)
-    assert rho_n_lifted(lifted, 2).value == pytest.approx(SQRT6, rel=1e-12)
-    assert rho_n(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
+    check = _lift_check(golden_mean_scalars, golden_mean_omega, 2)
+    assert check.norm_lifted == pytest.approx(SQRT6, rel=1e-12)
+    assert _norm_point(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
         SQRT6, rel=1e-12
     )
 
@@ -149,15 +168,14 @@ def test_rho_n_lifted_golden_mean_matches_constrained(
 def test_rho_n_lifted_all_zero_transitions():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 0], [0, 0]])
-    lifted = lift_set(mats, om)
-    assert rho_n_lifted(lifted, 3).value == 0.0
-    assert rho_n(mats, om, 3).value == 0.0
+    assert _lift_check(mats, om, 3).norm_lifted == 0.0
+    assert _norm_point(mats, om, 3).value == 0.0
 
 
 def test_rho_hat_n_lifted_golden_mean(golden_mean_scalars, golden_mean_omega):
-    lifted = lift_set(golden_mean_scalars, golden_mean_omega)
-    assert rho_hat_n_lifted(lifted, 2).value == pytest.approx(SQRT6, rel=1e-9)
-    assert rho_hat_n(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
+    check = _lift_check(golden_mean_scalars, golden_mean_omega, 2)
+    assert check.spectral_lifted == pytest.approx(SQRT6, rel=1e-9)
+    assert _spectral_point(golden_mean_scalars, golden_mean_omega, 2).value == pytest.approx(
         SQRT6, rel=1e-9
     )
 
@@ -171,7 +189,7 @@ def test_admissible_but_not_periodic_word_contributes_zero():
     eigs = np.linalg.eigvals(lifted.members[1])
     assert np.max(np.abs(eigs)) == pytest.approx(0.0, abs=1e-12)
     # the length-1 lifted spectral bound sees only the self-loop letter
-    assert rho_hat_n_lifted(lifted, 1).value == pytest.approx(2.0, rel=1e-9)
+    assert _lift_check(mats, om, 1).spectral_lifted == pytest.approx(2.0, rel=1e-9)
 
 
 def test_lifted_engines_agree_on_random_instances():
@@ -181,13 +199,14 @@ def test_lifted_engines_agree_on_random_instances():
     rng = np.random.default_rng(321)
     for _ in range(15):
         mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
-        lifted = lift_set(mats, om)
-        for n in range(1, 5):
-            a = rho_n(mats, om, n).value
-            b = rho_n_lifted(lifted, n).value
+        markov = _markov_values(mats, om, 4)
+        periodic = sandwich(mats, om, 4).lower_points()
+        for check in full_verification(mats, om, 4).equality_checks:
+            a = markov[check.n]
+            b = check.norm_lifted
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-            c = rho_hat_n(mats, om, n).value
-            d = rho_hat_n_lifted(lifted, n).value
+            c = periodic[check.n - 1].value
+            d = check.spectral_lifted
             assert c == pytest.approx(d, rel=1e-12, abs=1e-12)
 
 
@@ -203,8 +222,7 @@ def test_forbidden_word_gives_exactly_zero_lifted_product(
 
 
 def test_lift_equalities_golden_mean_exact(golden_mean_scalars, golden_mean_omega):
-    for n in range(1, 7):
-        check = verify_lift_equalities(golden_mean_scalars, golden_mean_omega, n)
+    for check in full_verification(golden_mean_scalars, golden_mean_omega, 6).equality_checks:
         assert check.max_abs_diff <= 1e-12
         assert check.passed
 
@@ -221,6 +239,7 @@ def test_lift_equalities_against_independent_brute_force(four_letter_omega):
     rows = [[int(v) for v in row] for row in four_letter_omega.entries]
     import itertools
 
+    checks = full_verification(mats, four_letter_omega, 3).equality_checks
     for n in (1, 2, 3):
         norm_lift = 0.0
         spec_lift = 0.0
@@ -235,7 +254,7 @@ def test_lift_equalities_against_independent_brute_force(four_letter_omega):
         oracle_periodic = brute_spectral_bound(members, rows, n, "periodic")
         assert norm_lift == pytest.approx(oracle_markov, rel=1e-10, abs=1e-12)
         assert spec_lift == pytest.approx(oracle_periodic, rel=1e-8, abs=1e-10)
-        check = verify_lift_equalities(mats, four_letter_omega, n)
+        check = checks[n - 1]
         assert check.norm_lifted == pytest.approx(norm_lift, rel=1e-10)
         assert check.spectral_lifted == pytest.approx(spec_lift, rel=1e-7, abs=1e-9)
         assert check.passed
@@ -245,8 +264,7 @@ def test_lift_equalities_randomized_spot_checks():
     rng = np.random.default_rng(606)
     for _ in range(20):
         mats, om = _random_cyclic_instance(rng)
-        for n in range(1, 5):
-            assert verify_lift_equalities(mats, om, n).passed
+        assert all(c.passed for c in full_verification(mats, om, 4).equality_checks)
 
 
 @pytest.mark.parametrize("kind", list(NormKind))
@@ -256,9 +274,8 @@ def test_lift_equalities_hold_for_every_norm_kind(kind):
     rng = np.random.default_rng(913)
     for _ in range(8):
         mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
-        for n in range(1, 4):
-            check = verify_lift_equalities(mats, om, n, norm=kind)
-            assert check.passed, (kind, n, check)
+        for check in full_verification(mats, om, 3, norm=kind).equality_checks:
+            assert check.passed, (kind, check.n, check)
 
 
 def test_lift_equalities_on_defective_family():
@@ -268,8 +285,7 @@ def test_lift_equalities_on_defective_family():
     j2 = np.array([[0.5, 2.0], [0.0, 0.5]])
     mats = MatrixSet.from_members([j1, j2])
     om = TransitionMatrix.from_rows([[1, 1], [1, 0]])
-    for n in range(1, 6):
-        assert verify_lift_equalities(mats, om, n).passed
+    assert all(c.passed for c in full_verification(mats, om, 5).equality_checks)
     report = sandwich(mats, om, 12)
     assert report.best_lower == pytest.approx(1.0, abs=1e-8)
     assert report.best_upper >= report.best_lower
@@ -282,8 +298,7 @@ def test_lift_equalities_complex_instance():
     ]
     mats = MatrixSet.from_members(members, field_tag="complex")
     om = TransitionMatrix.from_rows(GOLDEN_ROWS)
-    for n in range(1, 5):
-        assert verify_lift_equalities(mats, om, n).passed
+    assert all(c.passed for c in full_verification(mats, om, 4).equality_checks)
 
 
 def test_complete_alphabet_periodic_equals_unconstrained_spectral():
@@ -291,9 +306,8 @@ def test_complete_alphabet_periodic_equals_unconstrained_spectral():
     members = [rng.uniform(-1, 1, (2, 2)) for _ in range(2)]
     mats = MatrixSet.from_members(members)
     om = TransitionMatrix.complete(2)
-    lifted = lift_set(mats, om)
     rows = [[1, 1], [1, 1]]
-    got = rho_hat_n_lifted(lifted, 3).value
+    got = _lift_check(mats, om, 3).spectral_lifted
     oracle = brute_spectral_bound(members, rows, 3, "periodic")
     unconstrained = brute_spectral_bound(members, rows, 3, "markov")
     assert oracle == pytest.approx(unconstrained, rel=1e-12)  # every word closes up
@@ -361,7 +375,7 @@ def test_sandwich_alternating_cycle_has_periodic_words_only_at_even_lengths():
     assert report.best_lower == pytest.approx(SQRT6, rel=1e-9)
     assert report.best_upper == pytest.approx(SQRT6, rel=1e-12)
     # the lift equalities cover the empty case too: both spectral sides are 0
-    check = verify_lift_equalities(mats, om, 3)
+    check = _lift_check(mats, om, 3)
     assert check.spectral_lifted == 0.0 and check.spectral_periodic == 0.0
     assert check.passed
 
@@ -386,7 +400,7 @@ def test_sandwich_rejects_periodic_upper_class(golden_mean_scalars, golden_mean_
     # bound vanishes at odd lengths while the rate is sqrt(6)
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 1], [1, 0]])
-    per_point = rho_n(mats, om, 3, WordClass.PERIODICALLY_EXTENDABLE)
+    per_point = _norm_point(mats, om, 3, WordClass.PERIODICALLY_EXTENDABLE)
     assert per_point.value == 0.0 and per_point.empty_word_set
     with pytest.raises(ValidationError, match="periodic-class"):
         sandwich(
@@ -421,7 +435,7 @@ def test_classical_bounds_singleton_converges_to_radius():
     m = np.array([[0.9, 0.5], [0.0, 0.8]])
     mats = MatrixSet.from_members([m])
     want = float(max(abs(np.linalg.eigvals(m))))
-    report = classical_bounds(mats, 12)
+    report = sandwich(mats, TransitionMatrix.complete(1), 12)
     assert report.best_lower == pytest.approx(want, rel=1e-8)
     assert report.best_upper >= want - 1e-12
     assert report.gap <= 0.25
@@ -429,18 +443,9 @@ def test_classical_bounds_singleton_converges_to_radius():
 
 def test_classical_bounds_scalar_identity_is_exact_at_length_one():
     mats = MatrixSet.from_members([3.5 * np.eye(3)])
-    report = classical_bounds(mats, 3)
+    report = sandwich(mats, TransitionMatrix.complete(1), 3)
     assert report.best_upper == pytest.approx(3.5, rel=1e-12)
     assert report.best_lower == pytest.approx(3.5, rel=1e-9)
-
-
-def test_classical_bounds_match_complete_omega_sandwich():
-    rng = np.random.default_rng(29)
-    mats = MatrixSet.from_members([rng.uniform(-1, 1, (2, 2)) for _ in range(2)])
-    direct = sandwich(mats, TransitionMatrix.complete(2), 6)
-    via_classical = classical_bounds(mats, 6)
-    for p, q in zip(direct.points, via_classical.points):
-        assert p.value == q.value
 
 
 # ------------------------------------------------------- class-chain order
@@ -449,9 +454,9 @@ def test_classical_bounds_match_complete_omega_sandwich():
 def test_class_chain_complete_alphabet_all_equal():
     rng = np.random.default_rng(31)
     mats = MatrixSet.from_members([rng.uniform(-1, 1, (2, 2)) for _ in range(2)])
-    points = alternative_class_chain(mats, TransitionMatrix.complete(2), 3)
-    values = [p.value for p in points]
-    assert max(values) - min(values) <= 1e-15
+    for points in alternative_class_chain(mats, TransitionMatrix.complete(2), 3):
+        values = [p.value for p in points]
+        assert max(values) - min(values) <= 1e-15
 
 
 def test_class_chain_golden_mean_all_letters_continue(
@@ -459,7 +464,7 @@ def test_class_chain_golden_mean_all_letters_continue(
 ):
     per, inf, markov, chain = alternative_class_chain(
         golden_mean_scalars, golden_mean_omega, 3
-    )
+    )[2]
     assert per.value <= inf.value <= markov.value <= chain.value + 1e-15
     assert markov.value == pytest.approx(chain.value, rel=1e-12)
 
@@ -467,10 +472,17 @@ def test_class_chain_golden_mean_all_letters_continue(
 def test_class_chain_exhibits_strict_gap():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 0], [1, 0]])
-    per, inf, markov, chain = alternative_class_chain(mats, om, 2)
+    per, inf, markov, chain = alternative_class_chain(mats, om, 2)[1]
     assert chain.value == pytest.approx(SQRT6, rel=1e-12)  # word (1, 2) has no continuation
     assert markov.value == 0.0 and markov.empty_word_set
     assert per.value == 0.0 and inf.value == 0.0
+
+
+def test_class_chain_rows_come_from_one_sweep(monkeypatch, golden_mean_scalars, golden_mean_omega):
+    calls = count_sweeps(monkeypatch)
+    rows = alternative_class_chain(golden_mean_scalars, golden_mean_omega, n_max=6)
+    assert calls == [6]
+    assert [[p.n for p in row] for row in rows] == [[n] * 4 for n in range(1, 7)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,7 +491,7 @@ def test_class_chain_monotone_on_random_instances(size, n, seed):
     rng = np.random.default_rng(seed)
     om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
     mats = MatrixSet.from_members([rng.uniform(-1, 1, (2, 2)) for _ in range(size)])
-    values = [p.value for p in alternative_class_chain(mats, om, n)]
+    values = [p.value for p in alternative_class_chain(mats, om, n)[n - 1]]
     assert all(values[i] <= values[i + 1] * (1 + 1e-12) + 1e-15 for i in range(3))
 
 
@@ -511,7 +523,7 @@ def test_lift_equality_tolerances_are_relative(golden_mean_omega):
                              spectral_lifted=0.0, spectral_periodic=0.0).passed
     # and a genuine instance at that scale still passes
     mats = MatrixSet.from_members([np.array([[2e-120]]), np.array([[3e-120]])])
-    assert verify_lift_equalities(mats, golden_mean_omega, 2).passed
+    assert _lift_check(mats, golden_mean_omega, 2).passed
 
 
 # ------------------------------------------------------------ verification
@@ -572,21 +584,21 @@ def test_fixed_length_bounds_are_continuous_in_the_family():
             max(operator_norm(m) for m in family.members) for family in (mats, moved)
         )
         eps_eff = eps * max(operator_norm(d) for d in deltas)
+        base_values, moved_values = _markov_values(mats, om, 4), _markov_values(moved, om, 4)
         for n in (1, 2, 3, 4):
-            base_point = rho_n(mats, om, n)
-            moved_point = rho_n(moved, om, n)
+            base_value, moved_value = base_values[n], moved_values[n]
             shift = n * eps_eff * beta ** (n - 1)  # telescoped product movement
-            floor = min(base_point.value, moved_point.value) ** (n - 1)
+            floor = min(base_value, moved_value) ** (n - 1)
             if floor > 0:
                 allowed = shift / (n * floor)
             else:
                 allowed = shift ** (1.0 / n)  # Hoelder fallback near zero
-            assert abs(moved_point.value - base_point.value) <= allowed + 1e-12
+            assert abs(moved_value - base_value) <= allowed + 1e-12
 
         for n in (2, 3):
-            base_hat = rho_hat_n(mats, om, n).value
-            coarse = abs(rho_hat_n(perturbed(1e-4), om, n).value - base_hat)
-            fine = abs(rho_hat_n(perturbed(1e-8), om, n).value - base_hat)
+            base_hat = _spectral_point(mats, om, n).value
+            coarse = abs(_spectral_point(perturbed(1e-4), om, n).value - base_hat)
+            fine = abs(_spectral_point(perturbed(1e-8), om, n).value - base_hat)
             assert fine <= coarse * 0.1 + 1e-6
 
 
@@ -594,7 +606,7 @@ def test_fekete_power_submultiplicativity():
     rng = np.random.default_rng(2468)
     for _ in range(10):
         mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
-        values = {n: rho_n(mats, om, n).value for n in range(1, 8)}
+        values = _markov_values(mats, om, 7)
         for m in range(1, 7):
             for n in range(1, 8 - m):
                 lhs = values[m + n] ** (m + n)
