@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 
 import click
+import numpy as np
 
 from markovjsr import __version__
 from markovjsr.core import (
@@ -72,21 +73,21 @@ def _resolve(instance: Instance) -> tuple[MatrixSet, TransitionMatrix, RecodedIn
     return rec.matrices, rec.omega, rec
 
 
-def _estimate_ops(omega: TransitionMatrix, n_max: int, lifted: bool = False) -> int:
+def _check_budget(omega: TransitionMatrix, n_max: int, budget: int, lifted: bool = False) -> None:
+    """Estimate the product operations of lengths 1..n_max as the chain
+    words times their length (plus every lifted word), summed only until
+    the total passes the budget."""
+    step = omega.entries.astype(object)
+    ends = np.ones(omega.size, dtype=object)  # chain words by last letter, exact
     total = 0
     for n in range(1, n_max + 1):
-        total += count_words(omega, n, WordClass.CHAIN) * n
-        if lifted:
-            total += (omega.size ** n) * n
-    return total
-
-
-def _check_budget(estimate: int, budget: int) -> None:
-    if estimate > budget:
-        raise BudgetExceeded(
-            f"estimated {estimate} product operations exceed the budget {budget}; "
-            "lower --n-max or raise --budget"
-        )
+        total += int(ends.sum()) * n + (omega.size**n * n if lifted else 0)
+        if total > budget:
+            raise BudgetExceeded(
+                f"estimated at least {total} product operations exceed the budget {budget}; "
+                "lower --n-max or raise --budget"
+            )
+        ends = step @ ends
 
 
 def _report_head(command: str, instance: Instance, **kwargs) -> dict:
@@ -165,7 +166,7 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt)
     def body():
         instance = load_instance(instance_path)
         matrices, omega, rec = _resolve(instance)
-        _check_budget(_estimate_ops(omega, n_max), budget)
+        _check_budget(omega, n_max, budget)
         kind = NormKind(norm)
         head_extra = {
             "norm": norm,
@@ -318,8 +319,6 @@ def _verify_text(report: dict):
 def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
     """Every claimed entry must equal the exact lift entry or its rendering
     at the 12 significant digits that `lift` prints; nothing in between."""
-    import numpy as np
-
     claimed = load_instance(claimed_path)
     lifted = lift_set(instance.matrices, instance.omega)
     if claimed.matrices.size != len(lifted.members):
@@ -348,7 +347,7 @@ def cmd_verify(instance_path, n_max, norm, budget, claimed_lift, fmt):
     def body():
         instance = load_instance(instance_path)
         matrices, omega, rec = _resolve(instance)
-        _check_budget(_estimate_ops(omega, n_max, lifted=True), budget)
+        _check_budget(omega, n_max, budget, lifted=True)
         kind = NormKind(norm)
         outcome = full_verification(matrices, omega, n_max, norm=kind)
         claimed_ok = None
@@ -421,7 +420,7 @@ def cmd_words(instance_path, n, word_class, budget, fmt):
         instance = load_instance(instance_path)
         matrices, omega, rec = _resolve(instance)
         del matrices
-        _check_budget(_estimate_ops(omega, n), budget)
+        _check_budget(omega, n, budget)
         cls = WordClass(word_class)
         listed = list(enumerate_words(omega, n, cls))
         transfer = count_words(omega, n, cls)

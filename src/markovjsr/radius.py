@@ -14,16 +14,21 @@ Every supremum comes from one product engine.  ``_expand`` walks the
 words of an automaton (the state of a word is its last letter, or its
 last k letters under an order-k rule) depth-first over chunks: a chunk's
 children are one ``np.matmul(A[letter], P[parent])``, parent-major with
-letters ascending, so each length comes out in lexicographic order, and
-parents are sliced so that a chunk holds about ``_CHUNK_BYTES`` of
-products.  ``_sweep`` takes from that single pass the counts and norm
+letters ascending, and join a queue of words waiting at their length.
+A chunk is yielded as soon as a queue holds a full one (about
+``_CHUNK_BYTES`` of products), deepest length first, and each length's
+remainder once every shorter length is done; so each length comes out in
+lexicographic order, in full chunks.  A word carries no letters, only
+its base-L numeral (L letters): int64 while L**n fits, Python integers
+beyond.  ``_sweep`` takes from that single pass the counts and norm
 suprema of every length and class (class membership is a vector mask on
 each word's first and last state) and the spectral suprema of the
 periodically extendable words, fed to the kernel through one buffer
 tagged by length.  The kernel sees one word per rotation class: rho is
 invariant under rotation (AB and BA have the same nonzero spectrum) and
 the periodic words of every automaton here are closed under rotation, so
-the lexicographically least rotation stands for all of them.
+the lexicographically least rotation, the least numeral among the
+rotations, stands for all of them.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ __all__ = [
     "full_verification",
 ]
 
-# A frontier chunk holds about _CHUNK_BYTES of products, that is
-# _CHUNK_BYTES // (d*d*itemsize) words, but never fewer than
+# A frontier chunk holds about _CHUNK_BYTES of products and word codes,
+# that is _CHUNK_BYTES // (d*d*itemsize + 8) words, but never fewer than
 # _MIN_CHUNK_ROWS: every numpy call has a fixed cost.  The spectral kernel
 # gets _KERNEL_CHUNKS chunks' worth of products per call.
 _CHUNK_BYTES = 1 << 15
@@ -124,7 +129,6 @@ class _Automaton:
     def __init__(self, starts: np.ndarray, step: np.ndarray, head: np.ndarray):
         self.starts, self.step, self.head = starts, step, head
         self.allowed = step >= 0
-        self.width = max(1, int(self.allowed.sum(axis=1).max()))
         self.has_out = alive = self.allowed.any(axis=1)
         # states with an infinite walk: the greatest set closed under some step
         while not np.array_equal(alive, more := (self.allowed & alive[step]).any(axis=1)):
@@ -154,22 +158,46 @@ class _Chunk:
     first: np.ndarray               # (W,) first states
     state: np.ndarray               # (W,) states
     products: np.ndarray | None     # (W, d, d)
-    words: np.ndarray | None        # (W, n) 0-based letters
+    codes: np.ndarray | None        # (W,) base-L numerals of the 0-based letters
+
+    def _arrays(self) -> tuple:
+        return self.first, self.state, self.products, self.codes
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    def __getitem__(self, rows: slice) -> "_Chunk":
+        return _Chunk(self.n, *(None if a is None else a[rows] for a in self._arrays()))
+
+    @staticmethod
+    def join(pieces: list["_Chunk"]) -> "_Chunk":
+        if len(pieces) == 1:
+            return pieces[0]
+        columns = zip(*(p._arrays() for p in pieces))
+        return _Chunk(pieces[0].n, *(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
-def _children(
-    automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, lo: int, hi: int
-) -> _Chunk:
-    """The extensions by one letter of words lo..hi-1 of a chunk."""
-    parent, letter = np.nonzero(automaton.allowed[chunk.state[lo:hi]])
-    parent += lo
+def _code_dtype(letters: int, n: int) -> type:
+    """int64 while every length-n numeral over ``letters`` letters fits."""
+    return np.int64 if letters**n < 2**63 else object
+
+
+def _children(automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk) -> _Chunk:
+    """The extensions by one letter of the words of a chunk."""
+    parent, letter = np.nonzero(automaton.allowed[chunk.state])
     state = automaton.step[chunk.state[parent], letter]
+    codes = None
+    if chunk.codes is not None:
+        letters = automaton.step.shape[1]
+        dtype = _code_dtype(letters, chunk.n + 1)
+        codes = chunk.codes[parent].astype(dtype, copy=False) * letters
+        codes += letter.astype(dtype, copy=False)
     return _Chunk(
         n=chunk.n + 1,
         first=state if chunk.n < automaton.head.shape[1] else chunk.first[parent],
         state=state,
         products=None if members is None else np.matmul(members[letter], chunk.products[parent]),
-        words=None if chunk.words is None else np.column_stack((chunk.words[parent], letter)),
+        codes=codes,
     )
 
 
@@ -178,60 +206,74 @@ def _chunk_rows(row_bytes: int) -> int:
 
 
 def _expand(
-    automaton: _Automaton, members: np.ndarray | None, n_max: int, words: bool = False
+    automaton: _Automaton, members: np.ndarray | None, n_max: int, codes: bool = False
 ) -> Iterator[_Chunk]:
     """Every word of lengths 1..n_max, chunk by chunk, depth-first.
 
     ``members`` is the (L, d, d) stack of letter matrices, or None to form
-    no products; ``words`` keeps the letters.  Each chunk is followed by
-    the subtrees of its slices, so every length arrives in lexicographic
-    order.  The walk keeps an explicit stack of (chunk, next slice), one
-    entry per length, so n_max is not bounded by the recursion limit.
+    no products; ``codes`` keeps each word as its base-L numeral.  Words
+    formed but not yet yielded wait in a queue per length, which a
+    chunk's children join in order.  The deepest queue that holds a full
+    chunk of ``rows`` words yields one; when none does, the shortest
+    length with words left (every shorter one is done) yields its
+    remainder.  So every chunk but the last of each length is full, each
+    length arrives in lexicographic order, and fewer than ``rows`` words
+    plus one chunk's children wait at any length.  The walk keeps no
+    recursion, so n_max is not bounded by the recursion limit.
     """
-    row_bytes = (0 if members is None else members[0].nbytes) + (8 * n_max if words else 0)
-    per_parent = max(1, _chunk_rows(row_bytes) // automaton.width)
+    rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
     state = automaton.starts[letters]
+    if not len(state):
+        return
     root = _Chunk(
         1, state, state,
         None if members is None else members[letters],
-        letters[:, None] if words else None,
+        letters.astype(np.int64) if codes else None,
     )
-    if not len(state):
-        return
-    yield root
-    stack = [(root, 0)]
-    while stack:
-        chunk, lo = stack.pop()
-        if chunk.n == n_max or lo >= len(chunk.state):
+    queues: list[list[_Chunk]] = [[], [root]]   # by length; index 0 unused
+    n = low = 1                                 # lengths below low are done
+    while low < len(queues):
+        if n < low:  # no queue is full, and the shortest one left gets no more words
+            n, low = low, low + 1
+            if not queues[n]:
+                continue
+            chunk, queues[n] = _Chunk.join(queues[n]), []
+        elif sum(map(len, queues[n])) >= rows:
+            waiting = _Chunk.join(queues[n])
+            chunk, queues[n] = waiting[:rows], [waiting[rows:]] if len(waiting) > rows else []
+        else:
+            n -= 1  # every queue deeper than n is short of a chunk
             continue
-        stack.append((chunk, lo + per_parent))
-        child = _children(automaton, members, chunk, lo, lo + per_parent)
-        if len(child.state):
-            yield child
-            stack.append((child, 0))
+        yield chunk
+        if n < n_max and len(child := _children(automaton, members, chunk)):
+            if len(queues) == n + 1:
+                queues.append([])
+            queues[n + 1].append(child)
+            n += 1
 
 
 def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:
     """The length-n words of a class as 1-based tuples, lexicographically."""
-    for chunk in _expand(automaton, None, n, words=True):
+    letters = automaton.step.shape[1]
+    power = np.array([letters**j for j in range(n - 1, -1, -1)], dtype=_code_dtype(letters, n))
+    for chunk in _expand(automaton, None, n, codes=True):
         if chunk.n == n:
             keep = automaton.classes(chunk.first, chunk.state)[:, word_class.strictness]
-            yield from map(tuple, (chunk.words[keep] + 1).tolist())
+            yield from map(tuple, (chunk.codes[keep, None] // power % letters + 1).tolist())
 
 
-def _least_rotations(words: np.ndarray, letters: int) -> np.ndarray:
-    """Mask of the words (rows, over ``letters`` letters) that no rotation
-    of them precedes lexicographically: one word per rotation class,
-    powers such as (1, 2, 1, 2) included.
+def _least_rotations(codes: np.ndarray, letters: int, n: int) -> np.ndarray:
+    """Mask of the length-n words, given as base-``letters`` numerals, that
+    no rotation of them precedes lexicographically: one word per rotation
+    class, powers such as (1, 2, 1, 2) included.
 
-    Words of one length compare as their base-``letters`` numerals, in
-    int64 while those fit and in Python integers beyond.
+    Numerals of one length compare as the words do.  They are int64 while
+    ``letters**n`` fits and Python integers beyond, as ``_children`` forms
+    them.
     """
-    n = words.shape[1]
-    exact = np.int64 if letters**n < 2**63 else object
-    power = np.array([letters**j for j in range(n + 1)], dtype=exact)
-    code = (words @ power[n - 1::-1])[:, None]
+    power = np.array([letters**j for j in range(n + 1)], dtype=_code_dtype(letters, n))
+    code = codes[:, None]
     # rotating j letters to the back moves the last n - j digits to the front
     tail = power[n:0:-1]
     return (code % tail * power[:n] + code // tail >= code).all(axis=1)
@@ -290,7 +332,7 @@ def _sweep(
 
     # overflow is reported as a ValidationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _expand(automaton, members, n_max, words=bool(spectral)):
+        for chunk in _expand(automaton, members, n_max, codes=bool(spectral)):
             n = chunk.n
             member = automaton.classes(chunk.first, chunk.state)
             counts[n] += member.sum(axis=0)
@@ -301,7 +343,7 @@ def _sweep(
             if n not in spectral:
                 continue
             kept = np.flatnonzero(member[:, periodic])
-            kept = kept[_least_rotations(chunk.words[kept], automaton.step.shape[1])]
+            kept = kept[_least_rotations(chunk.codes[kept], automaton.step.shape[1], n)]
             chosen = chunk.products[kept]
             while len(chosen):
                 take = min(rows - fill, len(chosen))

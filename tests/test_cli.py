@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +214,19 @@ def test_words_budget_guard(runner, tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
     result = invoke(runner, "words", str(path), "--n", "40")
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "command, length", [("bounds", "--n-max"), ("verify", "--n-max"), ("words", "--n")]
+)
+def test_budget_guard_stops_counting_at_the_budget(runner, command, length):
+    # summing the exact word count of all 20000 lengths took about 40 s and
+    # then failed to print the sum, a number of more than 4300 digits
+    path = Path(__file__).resolve().parent / "data" / "sparse-chain.json"
+    result = invoke(runner, command, str(path), length, "20000")
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "budget" in result.stderr
 
 
 def test_real_field_with_imaginary_entry_is_validation_error(runner, tmp_path):

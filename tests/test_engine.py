@@ -32,10 +32,12 @@ from markovjsr import (
     cyclic_words,
     enumerate_words,
     operator_norm,
+    sandwich,
     spectral_radii,
     window_words,
 )
 from markovjsr import radius
+from markovjsr.radius import BoundKind
 from tests.conftest import fold_product, random_binary_rows
 
 NUMPY_NORMS = {
@@ -45,11 +47,12 @@ NUMPY_NORMS = {
 }
 
 
-def tiny_chunks():
-    """One word per chunk and eight products per spectral-kernel call."""
+def tiny_chunks(rows: int = 1):
+    """``rows`` words per chunk and eight chunks' worth of products per
+    spectral-kernel call."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(radius, "_CHUNK_BYTES", 1))
-    stack.enter_context(mock.patch.object(radius, "_MIN_CHUNK_ROWS", 1))
+    stack.enter_context(mock.patch.object(radius, "_MIN_CHUNK_ROWS", rows))
     return stack
 
 
@@ -144,14 +147,46 @@ def test_engine_complex_field_over_many_chunks():
         check_engine(mats, om, 5)
 
 
-def test_engine_chunks_split_every_length():
-    om = TransitionMatrix.complete(3)
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize(
+    "omega_rows",
+    [
+        [[1, 1, 0], [1, 0, 1], [1, 1, 1]],  # one, two and three successors
+        [[1, 1, 0], [1, 0, 0], [0, 1, 0]],  # letter 3 is dead: nothing may follow it
+    ],
+)
+def test_engine_yields_full_chunks_per_length(rows, omega_rows):
+    om = TransitionMatrix.from_rows(omega_rows)
     automaton = radius._Automaton.from_omega(om)
-    with tiny_chunks():
-        chunks = list(radius._expand(automaton, np.stack([np.eye(2)] * 3), 4))
-    # with one parent per slice, each length-n chunk holds one parent's children
-    assert [sum(c.n == n for c in chunks) for n in range(1, 5)] == [1, 3, 9, 27]
-    assert all(len(c.state) == 3 for c in chunks)
+    n_max = 7
+    members = np.stack([np.eye(2)] * om.size)
+    with tiny_chunks(rows):
+        chunks = list(radius._expand(automaton, members, n_max, codes=True))
+    assert len({id(c) for c in chunks}) == len(chunks)
+    formed = {1: len(np.flatnonzero(automaton.starts >= 0))}
+    yielded = dict.fromkeys(range(1, n_max + 2), 0)
+    for chunk in chunks:
+        n = chunk.n
+        yielded[n] += len(chunk)
+        assert formed[n] - yielded[n] >= 0
+        if n < n_max:
+            # the chunk's children join the queue of length n + 1 before the next yield
+            children = int(automaton.allowed[chunk.state].sum())
+            formed[n + 1] = formed.get(n + 1, 0) + children
+            assert formed[n + 1] - yielded[n + 1] < rows + children
+    for n in range(1, n_max + 1):
+        at_n = [c for c in chunks if c.n == n]
+        assert all(len(c) == rows for c in at_n[:-1])
+        assert 0 < len(at_n[-1]) <= rows
+        # joined over its chunks, each length is every chain word once, lexicographically
+        codes = np.concatenate([c.codes for c in at_n]).tolist()
+        expected = [
+            sum(letter * om.size ** (n - 1 - j) for j, letter in enumerate(word))
+            for word in itertools.product(range(om.size), repeat=n)
+            if classify([letter + 1 for letter in word], om)
+        ]
+        assert codes == expected
+        assert yielded[n] == formed[n]
 
 
 def test_engine_depth_is_not_bounded_by_recursion_limit():
@@ -168,16 +203,28 @@ def _least_rotation(word: tuple) -> tuple:
     return min(word[j:] + word[:j] for j in range(len(word)))
 
 
+def _codes(words, letters: int) -> np.ndarray:
+    """Base-``letters`` numerals of equal-length words: int64 while they fit."""
+    n = len(words[0])
+    codes = [sum(c * letters ** (n - 1 - j) for j, c in enumerate(w)) for w in words]
+    return np.array(codes, dtype=np.int64 if letters**n < 2**63 else object)
+
+
+def _least_rotations(words, letters: int) -> list:
+    words = [tuple(w) for w in words]
+    return radius._least_rotations(_codes(words, letters), letters, len(words[0])).tolist()
+
+
 @pytest.mark.parametrize("letters", [1, 2, 3])
 def test_least_rotations_match_brute_force(letters):
     for n in range(1, 8):
         words = list(itertools.product(range(letters), repeat=n))
         expected = [w == _least_rotation(w) for w in words]
-        assert radius._least_rotations(np.array(words), letters).tolist() == expected
+        assert _least_rotations(words, letters) == expected
     # a power is kept once, a one-letter word always
-    powers = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]])
-    assert radius._least_rotations(powers, 2).tolist() == [True, False, True]
-    assert radius._least_rotations(np.array([[0]] * letters), letters).all()
+    powers = [[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]]
+    assert _least_rotations(powers, 2) == [True, False, True]
+    assert all(_least_rotations([[0]] * letters, letters))
 
 
 @pytest.mark.parametrize("letters, n", [(3, 45), (2, 70), (200, 9)])
@@ -187,8 +234,45 @@ def test_least_rotations_beyond_int64_numerals(letters, n):
     words[:50] = np.sort(words[:50], axis=1)  # sorted words are least rotations
     period = next(p for p in (3, 5) if n % p == 0)
     words[50:60] = np.tile(words[50:60, : n // period], period)  # powers
-    expected = [tuple(w) == _least_rotation(tuple(w)) for w in words.tolist()]
-    assert radius._least_rotations(words, letters).tolist() == expected
+    words = words.tolist()
+    assert _codes(words, letters).dtype == object
+    expected = [tuple(w) == _least_rotation(tuple(w)) for w in words]
+    assert _least_rotations(words, letters) == expected
+
+
+def test_sweep_past_int64_codes():
+    # 2**n passes 2**63 at n = 63: the codes of longer words are Python integers
+    n = 70
+    om = TransitionMatrix.from_rows([[0, 1], [1, 0]])
+    rng = np.random.default_rng(70)
+    members = [m / np.linalg.norm(m, 2) for m in rng.standard_normal((2, 2, 2))]
+    mats = MatrixSet.from_members(members)
+
+    def alternating(length):
+        return [tuple((a + j) % 2 + 1 for j in range(length)) for a in (0, 1)]
+
+    for cls in WordClass:
+        listed = list(enumerate_words(om, n, cls))
+        assert listed == alternating(n)
+        assert list(enumerate_words(om, n - 1, cls)) == (
+            [] if cls is WordClass.PERIODICALLY_EXTENDABLE else alternating(n - 1)
+        )
+    swap = KStepConstraint(base_alphabet=2, k=1, allowed=frozenset({(1, 2), (2, 1)}))
+    assert list(cyclic_words(swap, n)) == alternating(n)
+    assert list(cyclic_words(swap, n - 1)) == []
+
+    report = sandwich(mats, om, n)
+    for point in report.points:
+        products = [fold_product(members, w) for w in alternating(point.n)]
+        if point.kind is BoundKind.NORM:
+            expected = max(NUMPY_NORMS[NormKind.ROWSUM](p) for p in products) ** (1 / point.n)
+            assert not point.empty_word_set
+            assert point.value == pytest.approx(expected, rel=1e-12, abs=0)
+        elif point.n % 2:
+            assert point.empty_word_set and point.value == 0.0
+        else:
+            radii = [max(abs(np.linalg.eigvals(p))) for p in products]
+            assert point.value == pytest.approx(max(radii) ** (1 / point.n), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("tiny", [False, True])
