@@ -27,7 +27,7 @@ from markovjsr.kstep import (
     recoded_to_original,
     window_words,
 )
-from markovjsr.lift import LiftedSet, lift_set, omega_factor
+from markovjsr.lift import lift_set, omega_factor
 from markovjsr.linalg import (
     NormKind,
     block_norm,
@@ -65,7 +65,6 @@ __all__ = [
     "operator_norm",
     "block_norm",
     "spectral_radii",
-    "LiftedSet",
     "omega_factor",
     "lift_set",
     "BoundKind",

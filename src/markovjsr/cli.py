@@ -27,7 +27,7 @@ from markovjsr.instancefile import (
     sig12,
 )
 from markovjsr.kstep import RecodedInstance, recode
-from markovjsr.lift import lift_set
+from markovjsr.lift import lift_set, omega_factor
 from markovjsr.linalg import REL_TOL, NormKind
 from markovjsr.radius import (
     NORM_TOL,
@@ -258,21 +258,18 @@ def cmd_lift(instance_path, fmt):
 
     def body():
         instance = load_instance(instance_path)
-        if instance.omega is None:
+        matrices, omega = instance.matrices, instance.omega
+        if omega is None:
             raise ValidationError("lift needs an instance with an explicit transition matrix")
-        lifted = lift_set(instance.matrices, instance.omega)
-        lifted_family = MatrixSet(
-            dim=lifted.blocks * lifted.block_dim,
-            members=lifted.members,
-            field_tag=instance.matrices.field_tag,
-        )
         doc = instance_document(
-            lifted_family,
-            omega=TransitionMatrix.complete(lifted.blocks),
+            lift_set(matrices, omega),
+            omega=TransitionMatrix.complete(omega.size),
             extra={
-                "lift_factors": [[[int(v) for v in row] for row in f] for f in lifted.factors],
-                "lift_blocks": lifted.blocks,
-                "lift_block_dim": lifted.block_dim,
+                "lift_factors": [
+                    omega_factor(omega, i).tolist() for i in range(1, omega.size + 1)
+                ],
+                "lift_blocks": omega.size,
+                "lift_block_dim": matrices.dim,
             },
         )
         report = _report_head("lift", instance)
@@ -317,13 +314,15 @@ def _verify_text(report: dict):
 
 
 def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
-    """Every claimed entry must equal the exact lift entry or its rendering
-    at the 12 significant digits that `lift` prints; nothing in between."""
+    """The claimed file must carry the complete transition matrix, under
+    which a lift is defined, and every claimed entry must equal the exact
+    lift entry or its rendering at the 12 significant digits that `lift`
+    prints; nothing in between."""
     claimed = load_instance(claimed_path)
-    lifted = lift_set(instance.matrices, instance.omega)
-    if claimed.matrices.size != len(lifted.members):
+    if claimed.omega is None or not claimed.omega.entries.all():
         return False
-    if claimed.matrices.dim != lifted.blocks * lifted.block_dim:
+    lifted = lift_set(instance.matrices, instance.omega)
+    if (claimed.matrices.size, claimed.matrices.dim) != (lifted.size, lifted.dim):
         return False
     round12 = np.vectorize(sig12, otypes=[float])
     printed = (round12(want.real) + 1j * round12(want.imag) for want in lifted.members)

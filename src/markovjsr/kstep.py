@@ -111,11 +111,10 @@ def recode(constraint: KStepConstraint, matrices: MatrixSet) -> RecodedInstance:
     states = sorted({t[:k] for t in constraint.allowed} | {t[1:] for t in constraint.allowed})
     index = {u: pos for pos, u in enumerate(states)}
     size = len(states)
+    # u -> v is allowed exactly when u = t[:k] and v = t[1:] for an allowed t
     entries = np.zeros((size, size), dtype=np.int64)
-    for u in states:
-        for v in states:
-            if v[: k - 1] == u[1:k] and u + (v[-1],) in constraint.allowed:
-                entries[index[v], index[u]] = 1
+    for t in constraint.allowed:
+        entries[index[t[1:]], index[t[:k]]] = 1
     recoded_members = tuple(matrices.members[u[-1] - 1] for u in states)
     return RecodedInstance(
         matrices=MatrixSet(

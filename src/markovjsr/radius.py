@@ -47,7 +47,7 @@ from markovjsr.core import (
     WordClass,
     validate_instance,
 )
-from markovjsr.lift import LiftedSet, lift_set, omega_factor
+from markovjsr.lift import lift_set, omega_factor
 from markovjsr.linalg import (
     NormKind,
     block_norm,
@@ -367,9 +367,12 @@ def _constrained_sweep(
     )
 
 
-def _lifted_sweep(lifted: LiftedSet, n_max: int, norm: NormKind, **spectral) -> _Sweep:
-    """_sweep over every word of the complete alphabet on the lifted family,
-    with block norms: the dense oracle of the lift equalities.
+def _lifted_sweep(
+    matrices: MatrixSet, omega: TransitionMatrix, n_max: int, norm: NormKind, **spectral
+) -> _Sweep:
+    """_sweep over every word of the complete alphabet on the lift of
+    (matrices, omega), with block norms: the dense oracle of the lift
+    equalities.
 
     By the rank-one factor algebra, lifted products vanish off the
     admissible words and otherwise repeat the base product down a single
@@ -378,9 +381,9 @@ def _lifted_sweep(lifted: LiftedSet, n_max: int, norm: NormKind, **spectral) -> 
     Markov-class ones, and its spectral values the periodic-class ones.
     """
     return _sweep(
-        _Automaton.from_omega(TransitionMatrix.complete(lifted.blocks)),
-        np.stack(lifted.members), n_max,
-        partial(block_norm, blocks=lifted.blocks, block_dim=lifted.block_dim, inner=norm),
+        _Automaton.from_omega(TransitionMatrix.complete(omega.size)),
+        np.stack(lift_set(matrices, omega).members), n_max,
+        partial(block_norm, blocks=omega.size, block_dim=matrices.dim, inner=norm),
         **spectral,
     )
 
@@ -694,7 +697,7 @@ def full_verification(
     _check_length(n_max)
     lengths = range(1, n_max + 1)
     constrained = _constrained_sweep(matrices, omega, n_max, norm, spectral=lengths)
-    lifted = _lifted_sweep(lift_set(matrices, omega), n_max, norm, spectral=lengths)
+    lifted = _lifted_sweep(matrices, omega, n_max, norm, spectral=lengths)
     report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
     return VerificationReport(
         equality_checks=tuple(

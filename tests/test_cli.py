@@ -7,11 +7,22 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from markovjsr import __version__
 from markovjsr.cli import main
 from markovjsr.instancefile import parse_instance
 from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, count_sweeps, write_instance
 
 SQRT6 = math.sqrt(6.0)
+DATA = Path(__file__).resolve().parent / "data"
+
+# Complex 2 x 2 members, so the lift's text rendering shows [re,im] pairs
+# in blocks wider than one entry.
+COMPLEX_DOC = {
+    "dimension": 2,
+    "field": "complex",
+    "matrices": [[[[0, 2], 1], [0, [0.5, -1]]], [[3, [0, -0.25]], [0, 0]]],
+    "omega": [[1, 1], [1, 0]],
+}
 
 # Gaussian members: the lift has entries that 12 significant digits do not hold.
 NON_INTEGER_DOC = {
@@ -222,7 +233,7 @@ def test_words_budget_guard(runner, tmp_path):
 def test_budget_guard_stops_counting_at_the_budget(runner, command, length):
     # summing the exact word count of all 20000 lengths took about 40 s and
     # then failed to print the sum, a number of more than 4300 digits
-    path = Path(__file__).resolve().parent / "data" / "sparse-chain.json"
+    path = DATA / "sparse-chain.json"
     result = invoke(runner, command, str(path), length, "20000")
     assert result.exit_code == 4
     assert result.stdout == ""
@@ -443,6 +454,59 @@ def test_lift_single_letter_identity(runner, tmp_path):
     assert out["omega"] == [[1]]
 
 
+def _text_head(command, doc):
+    return [
+        f"markovjsr {command} v{__version__}",
+        f"instance: {parse_instance(json.dumps(doc)).digest}",
+    ]
+
+
+def test_lift_text_output_golden_mean(runner, tmp_path):
+    path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
+    result = invoke(runner, "lift", str(path), "--format", "text")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == _text_head("lift", GOLDEN_MEAN_DOC) + [
+        "blocks=2 block_dim=1 lifted_dimension=2",
+        "factor 1:",
+        "  1 0",
+        "  1 0",
+        "factor 2:",
+        "  0 1",
+        "  0 0",
+        "lifted member 1:",
+        "  2 0",
+        "  2 0",
+        "lifted member 2:",
+        "  0 3",
+        "  0 0",
+    ]
+
+
+def test_lift_text_output_complex_instance(runner, tmp_path):
+    path = write_instance(tmp_path, COMPLEX_DOC)
+    result = invoke(runner, "lift", str(path), "--format", "text")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == _text_head("lift", COMPLEX_DOC) + [
+        "blocks=2 block_dim=2 lifted_dimension=4",
+        "factor 1:",
+        "  1 0",
+        "  1 0",
+        "factor 2:",
+        "  0 1",
+        "  0 0",
+        "lifted member 1:",
+        "  [0,2] [1,0] [0,0] [0,0]",
+        "  [0,0] [0.5,-1] [0,0] [0,0]",
+        "  [0,2] [1,0] [0,0] [0,0]",
+        "  [0,0] [0.5,-1] [0,0] [0,0]",
+        "lifted member 2:",
+        "  [0,0] [0,0] [3,0] [0,-0.25]",
+        "  [0,0] [0,0] [0,0] [0,0]",
+        "  [0,0] [0,0] [0,0] [0,0]",
+        "  [0,0] [0,0] [0,0] [0,0]",
+    ]
+
+
 def test_lift_requires_explicit_omega(runner, tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
     result = invoke(runner, "lift", str(path))
@@ -496,6 +560,29 @@ def test_verify_accepts_genuine_claimed_lift(runner, tmp_path):
     )
     assert result.exit_code == 0
 
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"omega": np.eye(3, dtype=int).tolist()},
+        {"kstep": {"k": 1, "allowed": [[1, 1], [1, 2], [2, 1], [3, 3]]}},
+    ],
+    ids=["identity-omega", "kstep"],
+)
+def test_verify_rejects_claimed_lift_without_complete_omega(runner, tmp_path, rule):
+    # the matrices are the genuine lift, but under another transition rule
+    claimed = json.loads((DATA / "sparse-chain.lift.json").read_text(encoding="utf-8"))
+    del claimed["omega"]
+    claimed.update(rule)
+    claimed_path = write_instance(tmp_path, claimed, name="claimed.json")
+    result = invoke(
+        runner, "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
+        "--claimed-lift", str(claimed_path),
+    )
+    assert "claimed lift matches: NO" in result.output
+    assert "verdict: FAIL" in result.output
+    assert result.exit_code == 1
 
 
 def test_verify_accepts_lift_output_of_non_integer_instance(runner, tmp_path):
@@ -603,6 +690,23 @@ def test_kstep_recode_emits_loadable_instance(runner, tmp_path):
         invoke(runner, "bounds", str(recoded_path), "--n-max", "10", "--format", "json").output
     )
     assert bounds["aggregates"]["best_lower"] == pytest.approx(SQRT6, abs=1e-9)
+
+
+def test_kstep_recode_text_output(runner, tmp_path):
+    path = write_instance(tmp_path, ORDER2_DOC)
+    result = invoke(runner, "kstep-recode", str(path), "--format", "text")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        f"markovjsr kstep-recode v{__version__}",
+        "states: 3",
+        "  1: (1,1)",
+        "  2: (1,2)",
+        "  3: (2,1)",
+        "omega:",
+        "  1 0 1",
+        "  1 0 1",
+        "  0 1 0",
+    ]
 
 
 def test_kstep_recode_requires_kstep_block(runner, tmp_path):

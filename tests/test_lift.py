@@ -74,17 +74,25 @@ def test_lift_set_members_match_kronecker(four_letter_omega):
     lifted = lift_set(mats, four_letter_omega)
     for i in range(4):
         assert np.array_equal(
-            lifted.members[i], np.kron(lifted.factors[i], mats.members[i])
+            lifted.members[i], np.kron(omega_factor(four_letter_omega, i + 1), mats.members[i])
         )
 
 
-def _factor_lift(omega: TransitionMatrix):
-    """The lift of a family of 1 x 1 ones: its factors are omega's."""
-    return lift_set(MatrixSet.from_members([np.ones((1, 1))] * omega.size), omega)
+def test_lift_set_is_a_matrix_set_over_the_base_field(golden_mean_omega):
+    base = MatrixSet.from_members([[[2j, 1.0], [0.0, 1.0]], [[3.0, 0.0], [1j, 1.0]]], "complex")
+    lifted = lift_set(base, golden_mean_omega)
+    assert isinstance(lifted, MatrixSet)
+    assert (lifted.size, lifted.dim, lifted.field_tag) == (2, 4, "complex")
+    for i, (have, member) in enumerate(zip(lifted.members, base.members), start=1):
+        assert np.array_equal(have, np.kron(omega_factor(golden_mean_omega, i), member))
+
+
+def _factors(omega: TransitionMatrix) -> list[np.ndarray]:
+    return [omega_factor(omega, i) for i in range(1, omega.size + 1)]
 
 
 def test_factor_product_structure_reference_words(four_letter_omega):
-    factors = _factor_lift(four_letter_omega).factors
+    factors = _factors(four_letter_omega)
     assert not fold_product(factors, (1, 2, 4)).any()
 
     good = fold_product(factors, (1, 3, 4))
@@ -95,7 +103,7 @@ def test_factor_product_structure_reference_words(four_letter_omega):
 
 
 def test_factor_product_structure_single_letter(four_letter_omega):
-    single = fold_product(_factor_lift(four_letter_omega).factors, (3,))
+    single = fold_product(_factors(four_letter_omega), (3,))
     want = np.zeros((4, 4), dtype=np.int64)
     want[[1, 3], 2] = 1  # letters 2 and 4 may follow 3, in column 3
     assert np.array_equal(single, want)
@@ -109,7 +117,7 @@ def test_structure_matches_dense_product_on_random_words(size, n, seed):
     rows = random_binary_rows(rng, size)
     om = TransitionMatrix.from_rows(rows)
     word = tuple(int(v) for v in rng.integers(1, size + 1, n))
-    dense = fold_product(_factor_lift(om).factors, word)
+    dense = fold_product(_factors(om), word)
     # rank one: the continuations of the last letter, in the first letter's column
     expected = np.zeros((size, size), dtype=np.int64)
     if chain_ok(rows, word):
@@ -133,7 +141,7 @@ def test_lifted_product_factorizes(size, dim, n, seed):
     word = tuple(int(v) for v in rng.integers(1, size + 1, n))
     block_product = fold_product(lifted.members, word)
     expected = np.kron(
-        fold_product(lifted.factors, word), fold_product(mats.members, word)
+        fold_product(_factors(om), word), fold_product(mats.members, word)
     )
     assert np.max(np.abs(block_product - expected)) <= 1e-10
 
@@ -160,21 +168,3 @@ def test_spectral_radius_transfers_on_periodic_words():
         )
         assert lifted_radius == pytest.approx(base_radius, rel=1e-7, abs=1e-10)
         checked += 1
-
-
-def test_lifted_set_rejects_tampered_factors(four_letter_omega):
-    from markovjsr.lift import LiftedSet
-
-    mats = MatrixSet.from_members([np.eye(2)] * 4)
-    lifted = lift_set(mats, four_letter_omega)
-    bad_factor = lifted.factors[0].copy()
-    bad_factor[0, 1] = 1  # support outside its own column
-    with pytest.raises(ValidationError, match="support outside column"):
-        LiftedSet(
-            base=lifted.base,
-            omega=lifted.omega,
-            factors=(bad_factor,) + lifted.factors[1:],
-            members=lifted.members,
-            blocks=lifted.blocks,
-            block_dim=lifted.block_dim,
-        )

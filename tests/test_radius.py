@@ -233,8 +233,8 @@ def test_lift_equalities_against_independent_brute_force(four_letter_omega):
     members = [rng.uniform(-1, 1, (2, 2)) for _ in range(4)]
     mats = MatrixSet.from_members(members)
     lifted_members = [
-        np.kron(np.array(f), m)
-        for f, m in zip(lift_set(mats, four_letter_omega).factors, members)
+        np.kron(omega_factor(four_letter_omega, i), m)
+        for i, m in enumerate(members, start=1)
     ]
     rows = [[int(v) for v in row] for row in four_letter_omega.entries]
     import itertools
