@@ -20,12 +20,8 @@ from markovjsr.kstep import (
     KStepConstraint,
     KStepEquivalenceReport,
     RecodedInstance,
-    cyclic_words,
-    original_to_recoded,
     radius_equivalence_check,
     recode,
-    recoded_to_original,
-    window_words,
 )
 from markovjsr.lift import lift_set, omega_factor
 from markovjsr.linalg import (
@@ -80,9 +76,5 @@ __all__ = [
     "RecodedInstance",
     "KStepEquivalenceReport",
     "recode",
-    "window_words",
-    "cyclic_words",
-    "original_to_recoded",
-    "recoded_to_original",
     "radius_equivalence_check",
 ]

@@ -101,11 +101,13 @@ def _report_head(command: str, instance: Instance, **kwargs) -> dict:
     return head
 
 
-def _emit(report: dict, fmt: str, text_renderer) -> None:
+def _emit(document: dict, fmt: str, text_lines) -> None:
+    """Print the JSON document, or the text lines (a generator, so only the
+    chosen format is rendered)."""
     if fmt == "json":
-        click.echo(render_document(report), nl=False)
+        click.echo(render_document(document), nl=False)
     else:
-        for line in text_renderer(report):
+        for line in text_lines:
             click.echo(line)
 
 
@@ -217,7 +219,7 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt)
                 }
                 for c in result.cross_bounds
             ]
-        _emit(report, fmt, _bounds_text)
+        _emit(report, fmt, _bounds_text(report))
 
     _guarded(body)
 
@@ -272,13 +274,7 @@ def cmd_lift(instance_path, fmt):
                 "lift_block_dim": matrices.dim,
             },
         )
-        report = _report_head("lift", instance)
-        report.update(doc)
-        if fmt == "json":
-            click.echo(render_document(doc), nl=False)
-        else:
-            for line in _lift_text(report):
-                click.echo(line)
+        _emit(doc, fmt, _lift_text({**_report_head("lift", instance), **doc}))
 
     _guarded(body)
 
@@ -389,7 +385,7 @@ def cmd_verify(instance_path, n_max, norm, budget, claimed_lift, fmt):
         ]
         report["claimed_lift_matches"] = claimed_ok
         report["passed"] = passed
-        _emit(report, fmt, _verify_text)
+        _emit(report, fmt, _verify_text(report))
         if not passed:
             sys.exit(1)
 
@@ -417,8 +413,7 @@ def cmd_words(instance_path, n, word_class, budget, fmt):
 
     def body():
         instance = load_instance(instance_path)
-        matrices, omega, rec = _resolve(instance)
-        del matrices
+        _, omega, rec = _resolve(instance)
         _check_budget(omega, n, budget)
         cls = WordClass(word_class)
         listed = list(enumerate_words(omega, n, cls))
@@ -434,7 +429,7 @@ def cmd_words(instance_path, n, word_class, budget, fmt):
         report["stream_count"] = len(listed)
         report["transfer_count"] = transfer
         report["counts_agree"] = transfer == len(listed)
-        _emit(report, fmt, _words_text)
+        _emit(report, fmt, _words_text(report))
 
     _guarded(body)
 
@@ -444,7 +439,7 @@ def cmd_words(instance_path, n, word_class, budget, fmt):
 
 def _recode_text(report: dict):
     yield f"markovjsr kstep-recode v{report['version']}"
-    yield f"states: {report['state_count']}"
+    yield f"states: {len(report['states'])}"
     for pos, state in enumerate(report["states"], start=1):
         yield f"  {pos}: ({','.join(str(v) for v in state)})"
     yield "omega:"
@@ -468,14 +463,7 @@ def cmd_kstep_recode(instance_path, fmt):
             omega=rec.omega,
             extra={"states": [list(s) for s in rec.states]},
         )
-        if fmt == "json":
-            click.echo(render_document(doc), nl=False)
-        else:
-            report = _report_head("kstep-recode", instance)
-            report.update(doc)
-            report["state_count"] = len(rec.states)
-            for line in _recode_text(report):
-                click.echo(line)
+        _emit(doc, fmt, _recode_text({**_report_head("kstep-recode", instance), **doc}))
 
     _guarded(body)
 

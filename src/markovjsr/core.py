@@ -55,10 +55,6 @@ class WordClass(Enum):
         """Position in the containment chain; larger means more restrictive."""
         return _CLASS_ORDER[self.value]
 
-    def contains(self, other: "WordClass") -> bool:
-        """True iff every word of class ``other`` also belongs to this class."""
-        return self.strictness <= other.strictness
-
 
 @dataclass(frozen=True, eq=False)
 class MatrixSet:
@@ -124,17 +120,6 @@ class MatrixSet:
         if first.ndim != 2:
             raise ValidationError(f"member 1 has shape {first.shape}, expected square")
         return cls(dim=int(first.shape[0]), members=tuple(members), field_tag=field_tag)
-
-    def scaled(self, factor: complex) -> "MatrixSet":
-        """The family with every member multiplied by a scalar."""
-        tag = self.field_tag
-        if isinstance(factor, complex) and factor.imag != 0:
-            tag = "complex"
-        return MatrixSet(
-            dim=self.dim,
-            members=tuple(np.asarray(factor) * m for m in self.members),
-            field_tag=tag,
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,46 +56,41 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _parse_entry(raw, where: str) -> complex:
+def _entry(raw) -> complex | None:
+    """A number or a [re, im] pair as a complex value, None for anything else.
+
+    An integer too large for a float reads as an infinity of its sign, so
+    the family rejects it as not finite, as it rejects 1e400.
+    """
     if _is_number(raw):
-        return complex(raw, 0.0)
-    if isinstance(raw, list) and len(raw) == 2 and all(_is_number(v) for v in raw):
-        return complex(raw[0], raw[1])
-    raise InstanceParseError(f"{where}: entry must be a number or a [re, im] pair")
+        raw = [raw, 0.0]
+    if not (isinstance(raw, list) and len(raw) == 2 and all(_is_number(v) for v in raw)):
+        return None
+    return complex(*map(_float, raw))
 
 
-def _looks_like_entry(raw) -> bool:
-    return _is_number(raw) or (
-        isinstance(raw, list) and len(raw) == 2 and all(_is_number(v) for v in raw)
-    )
+def _float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if x > 0 else -math.inf
 
 
 def _parse_matrix(raw, dim: int, where: str) -> np.ndarray:
     if not isinstance(raw, list):
         raise InstanceParseError(f"{where}: matrix must be a list")
-    nested = (
-        len(raw) == dim
-        and all(
-            isinstance(row, list)
-            and len(row) == dim
-            and all(_looks_like_entry(e) for e in row)
-            for row in raw
-        )
+    if len(raw) == dim and all(isinstance(row, list) and len(row) == dim for row in raw):
+        entries = [_entry(e) for row in raw for e in row]
+        if None not in entries:
+            return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+    if len(raw) == dim * dim:  # flat row-major
+        entries = [_entry(e) for e in raw]
+        if None not in entries:
+            return np.array(entries, dtype=np.complex128).reshape(dim, dim)
+    raise InstanceParseError(
+        f"{where}: expected {dim} rows of {dim} entries or a flat "
+        f"row-major list of {dim * dim} entries"
     )
-    if nested:
-        rows = raw
-    elif len(raw) == dim * dim and all(_looks_like_entry(e) for e in raw):
-        rows = [raw[r * dim : (r + 1) * dim] for r in range(dim)]  # flat row-major
-    else:
-        raise InstanceParseError(
-            f"{where}: expected {dim} rows of {dim} entries or a flat "
-            f"row-major list of {dim * dim} entries"
-        )
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        for c, entry in enumerate(row):
-            out[r, c] = _parse_entry(entry, f"{where} row {r + 1} column {c + 1}")
-    return out
 
 
 def parse_instance(text: str) -> Instance:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,23 +29,12 @@ from markovjsr.core import (
     WordClass,
 )
 from markovjsr.linalg import NormKind, operator_norm
-from markovjsr.radius import (
-    BoundKind,
-    SandwichReport,
-    _Automaton,
-    _class_words,
-    _sweep,
-    sandwich,
-)
+from markovjsr.radius import BoundKind, _Automaton, _sweep, sandwich
 
 __all__ = [
     "KStepConstraint",
     "RecodedInstance",
     "recode",
-    "window_words",
-    "cyclic_words",
-    "original_to_recoded",
-    "recoded_to_original",
     "EquivalenceRow",
     "KStepEquivalenceReport",
     "radius_equivalence_check",
@@ -97,8 +85,9 @@ def recode(constraint: KStepConstraint, matrices: MatrixSet) -> RecodedInstance:
     States are the k-tuples occurring as a prefix or suffix of an allowed
     tuple, in lexicographic order; dead tuples never enter the alphabet.
     The matrix of a state is the member of its last letter.  For k = 1
-    this reproduces the original instance up to the identity relabeling
-    (i,) -> i.
+    this reproduces the original instance up to the relabeling (i,) -> i
+    when every letter occurs in some allowed pair; a letter that occurs in
+    none is dropped.
     """
     if matrices.size != constraint.base_alphabet:
         raise ValidationError(
@@ -149,52 +138,6 @@ def _window_automaton(constraint: KStepConstraint) -> _Automaton:
     )
 
 
-def window_words(constraint: KStepConstraint, n: int) -> Iterator[tuple[int, ...]]:
-    """Length-n words (n >= k) admissible under the window rule and
-    extendable by at least one further letter.
-
-    Every (k+1)-window must be allowed, and the final k letters must be a
-    prefix of some allowed tuple; these are exactly the words that recode
-    to admissible words of length n - k + 1.
-    """
-    k = constraint.k
-    if n < k:
-        raise ValidationError(f"need word length >= {k}, got {n}")
-    yield from _class_words(_window_automaton(constraint), n, WordClass.MARKOV)
-
-
-def cyclic_words(constraint: KStepConstraint, period: int) -> Iterator[tuple[int, ...]]:
-    """Words whose bi-infinite periodic repetition is admissible.
-
-    All ``period`` windows of the repetition, taken cyclically, must be
-    allowed; the period may be smaller than the constraint order.
-    """
-    if period < 1:
-        raise ValidationError(f"period must be positive, got {period}")
-    yield from _class_words(
-        _window_automaton(constraint), period, WordClass.PERIODICALLY_EXTENDABLE
-    )
-
-
-def original_to_recoded(
-    word: Sequence[int], constraint: KStepConstraint
-) -> tuple[tuple[int, ...], ...]:
-    """Sliding k-windows of an original word: its recoded state word."""
-    w = tuple(int(x) for x in word)
-    k = constraint.k
-    if len(w) < k:
-        raise ValidationError(f"need word length >= {k}, got {len(w)}")
-    return tuple(w[j : j + k] for j in range(len(w) - k + 1))
-
-
-def recoded_to_original(state_word: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Original word of a recoded state word: first state, then last letters."""
-    states = [tuple(int(x) for x in s) for s in state_word]
-    if not states:
-        raise ValidationError("a state word must have at least one state")
-    return states[0] + tuple(s[-1] for s in states[1:])
-
-
 @dataclass(frozen=True)
 class EquivalenceRow:
     """Matched-length bound values from the recoded and the direct side."""
@@ -220,9 +163,7 @@ class KStepEquivalenceReport:
     envelope, which shrinks as n_max grows.
     """
 
-    order: int
     rows: tuple[EquivalenceRow, ...]
-    recoded: SandwichReport
     best_upper_recoded: float
     best_upper_direct: float
     best_lower_recoded: float
@@ -294,20 +235,22 @@ def radius_equivalence_check(
     """
     rec = recode(constraint, matrices)
     report = sandwich(rec.matrices, rec.omega, n_max, norm=norm)
-    upper_by_n = {p.n: p.value for p in report.upper_points()}
-    lower_by_n = {p.n: p.value for p in report.lower_points()}
+    uppers = [p.value for p in report.upper_points()]
+    lowers = [p.value for p in report.lower_points()]
     k = constraint.k
     direct_uppers, direct_lowers = _direct_bounds(constraint, matrices, n_max, norm)
     rows = [
         EquivalenceRow(
             recoded_length=m,
             original_length=m + k - 1,
-            recoded_upper=upper_by_n[m],
+            recoded_upper=u,
             direct_upper=du,
-            recoded_lower=lower_by_n[m],
+            recoded_lower=lo,
             direct_lower=dl,
         )
-        for m, du, dl in zip(range(1, n_max + 1), direct_uppers, direct_lowers)
+        for m, u, du, lo, dl in zip(
+            range(1, n_max + 1), uppers, direct_uppers, lowers, direct_lowers
+        )
     ]
     best_upper_direct = min(direct_uppers)
     best_lower_direct = max(direct_lowers)
@@ -316,8 +259,8 @@ def radius_equivalence_check(
     # every direct product is a recoded product times k-1 leading factors of
     # norm at most alpha, giving the certified cap on the direct upper side
     cap = min(
-        (upper_by_n[m] ** m * alpha ** (k - 1.0)) ** (1.0 / (m + k - 1.0))
-        for m in range(1, n_max + 1)
+        (u**m * alpha ** (k - 1.0)) ** (1.0 / (m + k - 1.0))
+        for m, u in enumerate(uppers, start=1)
     )
     # both uppers sit between the rate (>= the recoded lower aggregate) and
     # the larger of themselves and the cap; the envelope width bounds their
@@ -325,9 +268,7 @@ def radius_equivalence_check(
     envelope = max(report.best_upper, cap) - report.best_lower
     upper_tol = envelope + 1e-9 * abs(report.best_upper)
     return KStepEquivalenceReport(
-        order=k,
         rows=tuple(rows),
-        recoded=report,
         best_upper_recoded=report.best_upper,
         best_upper_direct=best_upper_direct,
         best_lower_recoded=report.best_lower,

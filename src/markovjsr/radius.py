@@ -479,9 +479,6 @@ class SandwichReport:
     gap: float
     alpha: float
     cross_bounds: tuple[CrossBound, ...]
-    norm: NormKind
-    n_max: int
-    upper_class: WordClass
 
     def upper_points(self) -> tuple[BoundSequencePoint, ...]:
         return tuple(p for p in self.points if p.kind is BoundKind.NORM)
@@ -565,9 +562,6 @@ def _sandwich_report(
         gap=best_upper - best_lower,
         alpha=alpha,
         cross_bounds=cross,
-        norm=norm,
-        n_max=n_max,
-        upper_class=upper_class,
     )
 
 

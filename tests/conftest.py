@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from markovjsr import MatrixSet, TransitionMatrix, radius
+from markovjsr import MatrixSet, TransitionMatrix, kstep, radius
 
 
 @pytest.fixture
@@ -112,6 +112,19 @@ def brute_spectral_bound(members, rows, n, kind="periodic") -> float:
         radius = float(max(abs(np.linalg.eigvals(fold_product(members, word)))))
         best = max(best, radius)
     return best ** (1.0 / n) if best else 0.0
+
+
+def window_class_words(constraint, n, cls) -> list:
+    """Length-n words of a class under an order-k window rule, listed by
+    the product engine from the rule's window automaton.  MARKOV gives the
+    words that recode to admissible words of length n - k + 1, the
+    periodic class those whose periodic repetition is admissible."""
+    return list(radius._class_words(kstep._window_automaton(constraint), n, cls))
+
+
+def scaled(mats: MatrixSet, c) -> MatrixSet:
+    """The family with every member multiplied by the scalar c."""
+    return MatrixSet(mats.dim, tuple(c * m for m in mats.members), mats.field_tag)
 
 
 def random_binary_rows(rng, size):

@@ -27,14 +27,12 @@ from markovjsr import (
     lift_set,
     omega_factor,
     operator_norm,
-    original_to_recoded,
     radius_equivalence_check,
     recode,
     sandwich,
     surviving_nodes,
-    window_words,
 )
-from tests.conftest import FOUR_LETTER_ROWS, random_binary_rows
+from tests.conftest import FOUR_LETTER_ROWS, random_binary_rows, window_class_words
 
 SQRT6 = math.sqrt(6.0)
 FAMILY_SEED = 20260808
@@ -272,11 +270,8 @@ def test_criterion_7_order_two_recoding():
 
     index_of = {state: pos + 1 for pos, state in enumerate(rec.states)}
     for n in range(2, 9):
-        direct = list(window_words(constraint, n))
-        mapped = {
-            tuple(index_of[s] for s in original_to_recoded(w, constraint))
-            for w in direct
-        }
+        direct = window_class_words(constraint, n, WordClass.MARKOV)
+        mapped = {tuple(index_of[w[j : j + 2]] for j in range(n - 1)) for w in direct}
         recoded_words = set(enumerate_words(rec.omega, n - 1, WordClass.MARKOV))
         ok &= len(direct) == len(mapped) == len(recoded_words)
         ok &= mapped == recoded_words

@@ -336,16 +336,28 @@ def test_randomized_document_round_trips():
         assert again.digest == inst.digest
 
 
-def test_nan_entry_is_validation_error(runner, tmp_path):
+HUGE_INT = "1" + "0" * 400  # beyond the float range, as 1e400 is
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "NaN",
+        "1e400",
+        pytest.param(HUGE_INT, id="400-digit-int"),
+        pytest.param(f"[{HUGE_INT}, 0]", id="400-digit-pair"),
+    ],
+)
+def test_nan_entry_is_validation_error(runner, tmp_path, entry):
     path = tmp_path / "nan.json"
     path.write_text(
-        '{"dimension": 1, "field": "real", "matrices": [[[NaN]], [[3]]], '
+        f'{{"dimension": 1, "field": "real", "matrices": [[[{entry}]], [[3]]], '
         '"omega": [[1, 1], [1, 0]]}',
         encoding="utf-8",
     )
     result = invoke(runner, "bounds", str(path))
     assert result.exit_code == 3
-    assert "not finite" in (result.stderr or result.output)
+    assert "member 1 entry (1,1) is not finite" in (result.stderr or result.output)
 
 
 def test_kstep_document_round_trip():

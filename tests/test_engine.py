@@ -29,16 +29,14 @@ from markovjsr import (
     WordClass,
     alternative_class_chain,
     classify,
-    cyclic_words,
     enumerate_words,
     operator_norm,
     sandwich,
     spectral_radii,
-    window_words,
 )
 from markovjsr import radius
 from markovjsr.radius import BoundKind
-from tests.conftest import fold_product, random_binary_rows
+from tests.conftest import fold_product, random_binary_rows, window_class_words
 
 NUMPY_NORMS = {
     NormKind.ROWSUM: lambda p: np.abs(p).sum(axis=1).max(),
@@ -258,8 +256,9 @@ def test_sweep_past_int64_codes():
             [] if cls is WordClass.PERIODICALLY_EXTENDABLE else alternating(n - 1)
         )
     swap = KStepConstraint(base_alphabet=2, k=1, allowed=frozenset({(1, 2), (2, 1)}))
-    assert list(cyclic_words(swap, n)) == alternating(n)
-    assert list(cyclic_words(swap, n - 1)) == []
+    periodic = WordClass.PERIODICALLY_EXTENDABLE
+    assert window_class_words(swap, n, periodic) == alternating(n)
+    assert window_class_words(swap, n - 1, periodic) == []
 
     report = sandwich(mats, om, n)
     for point in report.points:
@@ -345,11 +344,11 @@ def test_window_automaton_matches_brute_force(alphabet, k, seed, tiny):
     with tiny_chunks() if tiny else contextlib.nullcontext():
         for n in range(1, 2 * k + 3):
             words = list(itertools.product(range(1, alphabet + 1), repeat=n))
-            assert list(cyclic_words(constraint, n)) == [
+            assert window_class_words(constraint, n, WordClass.PERIODICALLY_EXTENDABLE) == [
                 w for w in words if _windows_allowed(w, allowed, k, cyclic=True)
             ]
             if n >= k:
-                assert list(window_words(constraint, n)) == [
+                assert window_class_words(constraint, n, WordClass.MARKOV) == [
                     w for w in words
                     if _windows_allowed(w, allowed, k, cyclic=False) and w[-k:] in extendable
                 ]

@@ -13,16 +13,13 @@ from markovjsr import (
     ValidationError,
     WordClass,
     count_words,
-    cyclic_words,
     enumerate_words,
-    original_to_recoded,
     radius_equivalence_check,
     recode,
-    recoded_to_original,
     sandwich,
-    window_words,
 )
 from markovjsr.instancefile import load_instance
+from tests.conftest import scaled, window_class_words
 
 DATA = Path(__file__).resolve().parent / "data"
 SQRT6 = math.sqrt(6.0)
@@ -98,25 +95,24 @@ def test_constraint_rejects_wrong_tuple_length():
 
 def test_window_words_minimum_length_is_k():
     constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
-    assert list(window_words(constraint, 2)) == [(1, 1), (1, 2), (2, 1)]
-    with pytest.raises(ValidationError, match="length >= 2"):
-        list(window_words(constraint, 1))
+    assert window_class_words(constraint, 2, WordClass.MARKOV) == [(1, 1), (1, 2), (2, 1)]
 
 
 def test_cyclic_words_respect_wraparound_windows():
     constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
     # (2,1,2) repeats as ...212|212... whose window (1,2,2) is forbidden
-    assert (2, 1, 2) not in set(cyclic_words(constraint, 3))
-    assert set(cyclic_words(constraint, 2)) == {(1, 1), (1, 2), (2, 1)}
-    assert set(cyclic_words(constraint, 1)) == {(1,)}
+    periodic = WordClass.PERIODICALLY_EXTENDABLE
+    assert (2, 1, 2) not in set(window_class_words(constraint, 3, periodic))
+    assert set(window_class_words(constraint, 2, periodic)) == {(1, 1), (1, 2), (2, 1)}
+    assert set(window_class_words(constraint, 1, periodic)) == {(1,)}
 
 
 def test_word_correspondence_maps_are_inverse():
     constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
     word = (1, 2, 1, 1, 2)
-    states = original_to_recoded(word, constraint)
+    states = tuple(word[j : j + 2] for j in range(len(word) - 1))
     assert states == ((1, 2), (2, 1), (1, 1), (1, 2))
-    assert recoded_to_original(states) == word
+    assert states[0] + tuple(s[-1] for s in states[1:]) == word
 
 
 @pytest.mark.parametrize("alphabet,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -141,12 +137,12 @@ def test_window_word_bijection_exhaustive(alphabet, k):
     max_n = 8 if alphabet == 2 else 6
     for n in range(k, max_n + 1):
         m = n - k + 1
-        direct = list(window_words(constraint, n))
+        direct = window_class_words(constraint, n, WordClass.MARKOV)
         recoded = set(enumerate_words(rec.omega, m, WordClass.MARKOV))
         mapped = []
         for word in direct:
-            states = original_to_recoded(word, constraint)
-            assert recoded_to_original(states) == word
+            states = tuple(word[j : j + k] for j in range(m))
+            assert states[0] + tuple(s[-1] for s in states[1:]) == word
             mapped.append(tuple(index_of[s] for s in states))
         assert len(mapped) == len(set(mapped))  # injective
         assert set(mapped) == recoded          # and onto
@@ -262,8 +258,7 @@ def test_equivalence_check_agrees_at_a_tiny_scale():
     # a power-of-two scaling is exact, so the relative checks see the same
     # instance; n_max 5 keeps every product (length <= 6) above the subnormals
     instance = load_instance(DATA / "kstep-order2.json")
-    scaled = instance.matrices.scaled(2.0**-150)
-    for mats in (instance.matrices, scaled):
+    for mats in (instance.matrices, scaled(instance.matrices, 2.0**-150)):
         assert radius_equivalence_check(instance.kstep, mats, 5).agrees
 
 

@@ -23,7 +23,7 @@ from markovjsr import (
     recode,
     sandwich,
 )
-from tests.conftest import random_binary_rows
+from tests.conftest import random_binary_rows, scaled
 
 REL = 1e-12
 
@@ -87,7 +87,7 @@ def test_transposing_keeps_spectral_values_and_swaps_row_and_column_sums(instanc
 def test_scaling_by_a_power_of_two_scales_every_value(instance, n_max, k):
     mats, om = random_instance(*instance)
     c = 2.0**k
-    assert_points_match(sandwich(mats, om, n_max), sandwich(mats.scaled(c), om, n_max), c)
+    assert_points_match(sandwich(mats, om, n_max), sandwich(scaled(mats, c), om, n_max), c)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

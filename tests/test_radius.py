@@ -29,6 +29,7 @@ from tests.conftest import (
     count_sweeps,
     fold_product,
     random_binary_rows,
+    scaled,
 )
 
 GOLDEN_ROWS = [[1, 1], [1, 0]]
@@ -424,11 +425,11 @@ def test_sandwich_scale_equivariance():
     mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
     factor = -1.7
     base = sandwich(mats, om, 5)
-    scaled = sandwich(mats.scaled(factor), om, 5)
-    for p, q in zip(base.points, scaled.points):
+    report = sandwich(scaled(mats, factor), om, 5)
+    for p, q in zip(base.points, report.points):
         assert q.value == pytest.approx(abs(factor) * p.value, rel=1e-10, abs=1e-12)
-    assert scaled.best_upper == pytest.approx(abs(factor) * base.best_upper, rel=1e-10)
-    assert scaled.best_lower == pytest.approx(abs(factor) * base.best_lower, rel=1e-10)
+    assert report.best_upper == pytest.approx(abs(factor) * base.best_upper, rel=1e-10)
+    assert report.best_lower == pytest.approx(abs(factor) * base.best_lower, rel=1e-10)
 
 
 def test_classical_bounds_singleton_converges_to_radius():
