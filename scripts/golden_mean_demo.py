@@ -29,10 +29,8 @@ def main() -> None:
     report = sandwich(mats, omega, args.n_max)
     print("golden-mean constraint, members {2, 3}; target rate sqrt(6) =", math.sqrt(6))
     print(f"{'n':>3} {'upper (markov norm)':>22} {'lower (periodic spectral)':>27}")
-    uppers = {p.n: p.value for p in report.upper_points()}
-    lowers = {p.n: p.value for p in report.lower_points()}
-    for n in range(1, args.n_max + 1):
-        print(f"{n:>3} {uppers[n]:>22.12f} {lowers[n]:>27.12f}")
+    for upper, lower in zip(report.upper, report.lower):
+        print(f"{upper.n:>3} {upper.value:>22.12f} {lower.value:>27.12f}")
     print(f"best_upper = {report.best_upper:.12f} at n = {report.best_upper_n}")
     print(f"best_lower = {report.best_lower:.12f} at n = {report.best_lower_n}")
     print(f"gap = {report.gap:.3e}")

@@ -31,7 +31,6 @@ from markovjsr.linalg import (
     spectral_radii,
 )
 from markovjsr.radius import (
-    BoundKind,
     BoundSequencePoint,
     SandwichReport,
     LiftEqualityCheck,
@@ -63,7 +62,6 @@ __all__ = [
     "spectral_radii",
     "omega_factor",
     "lift_set",
-    "BoundKind",
     "BoundSequencePoint",
     "SandwichReport",
     "LiftEqualityCheck",

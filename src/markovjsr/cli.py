@@ -115,6 +115,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cross_rows(cross_bounds) -> list[dict]:
+    return [
+        {"n": c.n, "chain_value": sig12(c.chain_value), "cap": sig12(c.cap), "ok": c.ok}
+        for c in cross_bounds
+    ]
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="markovjsr")
 def main():
@@ -197,11 +204,12 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt)
                 {
                     "n": p.n,
                     "class": p.word_class.value,
-                    "kind": p.kind.value,
+                    "kind": kind,
                     "value": sig12(p.value),
                     "empty": p.empty_word_set,
                 }
-                for p in result.points
+                for pair in zip(result.upper, result.lower)
+                for kind, p in zip(("norm", "spectral"), pair)
             ]
             report["aggregates"] = {
                 "best_lower": sig12(result.best_lower),
@@ -210,15 +218,7 @@ def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt)
                 "best_upper_n": result.best_upper_n,
                 "gap": sig12(result.gap),
             }
-            report["cross_bounds"] = [
-                {
-                    "n": c.n,
-                    "chain_value": sig12(c.chain_value),
-                    "cap": sig12(c.cap),
-                    "ok": c.ok,
-                }
-                for c in result.cross_bounds
-            ]
+            report["cross_bounds"] = _cross_rows(result.cross_bounds)
         _emit(report, fmt, _bounds_text(report))
 
     _guarded(body)
@@ -379,10 +379,7 @@ def cmd_verify(instance_path, n_max, norm, budget, claimed_lift, fmt):
             {"n": c.n, "values": [sig12(v) for v in c.values], "ok": c.ok}
             for c in outcome.class_chains
         ]
-        report["cross_bounds"] = [
-            {"n": c.n, "chain_value": sig12(c.chain_value), "cap": sig12(c.cap), "ok": c.ok}
-            for c in outcome.cross_bounds
-        ]
+        report["cross_bounds"] = _cross_rows(outcome.cross_bounds)
         report["claimed_lift_matches"] = claimed_ok
         report["passed"] = passed
         _emit(report, fmt, _verify_text(report))

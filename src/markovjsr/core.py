@@ -7,6 +7,7 @@ numpy underneath.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -145,9 +146,8 @@ class TransitionMatrix:
         binary = (arr == 0) | (arr == 1)
         if not np.all(binary):
             r, c = np.argwhere(~binary)[0] + 1
-            raise ValidationError(
-                f"transition entry at ({r},{c}) is {arr[r - 1, c - 1]}, expected 0 or 1"
-            )
+            value = reprlib.repr(arr.tolist()[r - 1][c - 1])  # a 400-digit integer is cut short
+            raise ValidationError(f"transition entry at ({r},{c}) is {value}, expected 0 or 1")
         arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -158,7 +158,9 @@ class TransitionMatrix:
             arr = np.asarray(rows)
         except ValueError as exc:
             raise ValidationError(f"transition matrix rows are ragged: {exc}") from exc
-        if arr.ndim != 2 or arr.dtype == object:
+        if arr.dtype.kind in "OUS":  # keep each entry as given, so it is judged alone
+            arr = np.asarray(rows, dtype=object)
+        if arr.ndim != 2:
             raise ValidationError(
                 f"transition matrix must be a rectangular 2-dimensional array, got shape {arr.shape}"
             )

@@ -29,7 +29,7 @@ from markovjsr.core import (
     WordClass,
 )
 from markovjsr.linalg import NormKind, operator_norm
-from markovjsr.radius import BoundKind, _Automaton, _sweep, sandwich
+from markovjsr.radius import _Automaton, _sweep, sandwich
 
 __all__ = [
     "KStepConstraint",
@@ -214,11 +214,8 @@ def _direct_bounds(
         partial(operator_norm, kind=norm), spectral=range(1, n_max + 1),
     )
     lengths = range(1, n_max + 1)
-    upper = [sweep.point(m + k - 1, WordClass.MARKOV, BoundKind.NORM).value for m in lengths]
-    lower = [
-        sweep.point(m, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL).value
-        for m in lengths
-    ]
+    upper = [sweep.point(m + k - 1, WordClass.MARKOV).value for m in lengths]
+    lower = [sweep.point(m, WordClass.PERIODICALLY_EXTENDABLE, spectral=True).value for m in lengths]
     return upper, lower
 
 
@@ -235,8 +232,8 @@ def radius_equivalence_check(
     """
     rec = recode(constraint, matrices)
     report = sandwich(rec.matrices, rec.omega, n_max, norm=norm)
-    uppers = [p.value for p in report.upper_points()]
-    lowers = [p.value for p in report.lower_points()]
+    uppers = [p.value for p in report.upper]
+    lowers = [p.value for p in report.lower]
     k = constraint.k
     direct_uppers, direct_lowers = _direct_bounds(constraint, matrices, n_max, norm)
     rows = [

@@ -34,7 +34,6 @@ rotations, stands for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
 
@@ -49,6 +48,7 @@ from markovjsr.core import (
 )
 from markovjsr.lift import lift_set, omega_factor
 from markovjsr.linalg import (
+    REL_TOL,
     NormKind,
     block_norm,
     operator_norm,
@@ -58,7 +58,6 @@ from markovjsr.linalg import (
 __all__ = [
     "NORM_TOL",
     "SPECTRAL_TOL",
-    "BoundKind",
     "BoundSequencePoint",
     "LiftEqualityCheck",
     "CrossBound",
@@ -80,19 +79,15 @@ _CHUNK_BYTES = 1 << 15
 _MIN_CHUNK_ROWS = 32
 _KERNEL_CHUNKS = 8
 
-# Relative tolerances of the lift equality checks.  The spectral one is
-# looser because its two columns take eigenvalues of different matrices:
-# the d x d products and their (N*d) x (N*d) lifts.
+# Relative tolerances of the lift equality checks.  Each spectral column
+# is a kernel output, held to REL_TOL, of different matrices (the d x d
+# products and their (N*d) x (N*d) lifts), so the two may differ by twice
+# that.
 NORM_TOL = 1e-9
-SPECTRAL_TOL = 1e-7
+SPECTRAL_TOL = 2 * REL_TOL
 
 # The class-chain view, weakest-class last.
 _CHAIN_ORDER = tuple(sorted(WordClass, key=lambda c: -c.strictness))
-
-
-class BoundKind(Enum):
-    NORM = "norm"
-    SPECTRAL = "spectral"
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,6 @@ class BoundSequencePoint:
 
     n: int
     value: float
-    kind: BoundKind
     word_class: WordClass
     empty_word_set: bool
 
@@ -289,12 +283,12 @@ class _Sweep:
     norm_sup: np.ndarray
     spectral_sup: np.ndarray
 
-    def point(self, n: int, word_class: WordClass, kind: BoundKind) -> BoundSequencePoint:
+    def point(self, n: int, word_class: WordClass, spectral: bool = False) -> BoundSequencePoint:
         column = word_class.strictness
         empty = bool(self.counts[n, column] == 0)
-        sup = self.norm_sup[n, column] if kind is BoundKind.NORM else self.spectral_sup[n]
+        sup = self.spectral_sup[n] if spectral else self.norm_sup[n, column]
         return BoundSequencePoint(
-            n=n, value=0.0 if empty else float(sup) ** (1.0 / n), kind=kind,
+            n=n, value=0.0 if empty else float(sup) ** (1.0 / n),
             word_class=word_class, empty_word_set=empty,
         )
 
@@ -433,12 +427,10 @@ class LiftEqualityCheck:
 def _equality_check(n: int, constrained: _Sweep, lifted: _Sweep) -> LiftEqualityCheck:
     return LiftEqualityCheck(
         n=n,
-        norm_lifted=lifted.point(n, WordClass.CHAIN, BoundKind.NORM).value,
-        norm_constrained=constrained.point(n, WordClass.MARKOV, BoundKind.NORM).value,
-        spectral_lifted=lifted.point(n, WordClass.CHAIN, BoundKind.SPECTRAL).value,
-        spectral_periodic=constrained.point(
-            n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL
-        ).value,
+        norm_lifted=lifted.point(n, WordClass.CHAIN).value,
+        norm_constrained=constrained.point(n, WordClass.MARKOV).value,
+        spectral_lifted=lifted.point(n, WordClass.CHAIN, spectral=True).value,
+        spectral_periodic=constrained.point(n, WordClass.PERIODICALLY_EXTENDABLE, spectral=True).value,
     )
 
 
@@ -463,15 +455,18 @@ class CrossBound:
 
 @dataclass(frozen=True, eq=False)
 class SandwichReport:
-    """Per-length bound pairs and their best aggregates.
+    """Per-length bounds of both sides and their best aggregates.
 
-    best_upper is the running minimum of the upper norm bounds (their
-    n-th powers are sub-multiplicative in n, so the infimum equals the
-    limit); best_lower is the running maximum of the periodic spectral
-    bounds.  alpha is the largest member norm, used by the cross bounds.
+    upper holds the norm bounds of the upper class and lower the periodic
+    spectral bounds, entry n-1 for length n.  best_upper is the running
+    minimum of the upper values (their n-th powers are sub-multiplicative
+    in n, so the infimum equals the limit); best_lower is the running
+    maximum of the lower ones.  alpha is the largest member norm, used by
+    the cross bounds.
     """
 
-    points: tuple[BoundSequencePoint, ...]
+    upper: tuple[BoundSequencePoint, ...]
+    lower: tuple[BoundSequencePoint, ...]
     best_lower: float
     best_lower_n: int
     best_upper: float
@@ -479,12 +474,6 @@ class SandwichReport:
     gap: float
     alpha: float
     cross_bounds: tuple[CrossBound, ...]
-
-    def upper_points(self) -> tuple[BoundSequencePoint, ...]:
-        return tuple(p for p in self.points if p.kind is BoundKind.NORM)
-
-    def lower_points(self) -> tuple[BoundSequencePoint, ...]:
-        return tuple(p for p in self.points if p.kind is BoundKind.SPECTRAL)
 
 
 def sandwich(
@@ -527,18 +516,14 @@ def _sandwich_report(
     sweep: _Sweep, matrices: MatrixSet, n_max: int, norm: NormKind, upper_class: WordClass
 ) -> SandwichReport:
     lengths = range(1, n_max + 1)
-    upper = [sweep.point(n, upper_class, BoundKind.NORM) for n in lengths]
-    lower = [
-        sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, BoundKind.SPECTRAL)
-        for n in lengths
-    ]
+    upper = tuple(sweep.point(n, upper_class) for n in lengths)
+    lower = tuple(sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, spectral=True) for n in lengths)
     alpha = max(operator_norm(m, norm) for m in matrices.members)
     cross = tuple(
         CrossBound(
             n=n,
-            chain_value=sweep.point(n, WordClass.CHAIN, BoundKind.NORM).value,
-            cap=alpha ** (1.0 / n)
-            * sweep.point(n - 1, WordClass.MARKOV, BoundKind.NORM).value ** ((n - 1.0) / n),
+            chain_value=sweep.point(n, WordClass.CHAIN).value,
+            cap=alpha ** (1.0 / n) * sweep.point(n - 1, WordClass.MARKOV).value ** ((n - 1.0) / n),
         )
         for n in range(2, n_max + 1)
     )
@@ -554,7 +539,8 @@ def _sandwich_report(
             f"{best_upper}; matrix products that underflow at this scale do this"
         )
     return SandwichReport(
-        points=tuple(p for pair in zip(upper, lower) for p in pair),
+        upper=upper,
+        lower=lower,
         best_lower=best_lower,
         best_lower_n=best_lower_n,
         best_upper=best_upper,
@@ -585,7 +571,7 @@ def alternative_class_chain(
 
 
 def _class_chain(sweep: _Sweep, n: int) -> tuple[BoundSequencePoint, ...]:
-    return tuple(sweep.point(n, cls, BoundKind.NORM) for cls in _CHAIN_ORDER)
+    return tuple(sweep.point(n, cls) for cls in _CHAIN_ORDER)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ import numpy as np
 
 from markovjsr.core import (
     TransitionMatrix,
-    ValidationError,
     WordClass,
     surviving_nodes,
     validate_word,
 )
-from markovjsr.radius import _Automaton, _class_words
+from markovjsr.radius import _Automaton, _check_length, _class_words
 
 __all__ = [
     "classify",
@@ -58,8 +57,7 @@ def enumerate_words(
     and the class condition is a mask on each word's first and last
     letter.  Lazy, so callers can stop early.
     """
-    if n < 1:
-        raise ValidationError(f"word length must be positive, got {n}")
+    _check_length(n)
     yield from _class_words(_Automaton.from_omega(omega), n, word_class)
 
 
@@ -76,8 +74,7 @@ def count_words(
     that reach a cycle) or close the walk (trace, for the periodic class).
     Exact integer arithmetic, so counts never overflow.
     """
-    if n < 1:
-        raise ValidationError(f"word length must be positive, got {n}")
+    _check_length(n)
     base = omega.entries.astype(object)  # Python integers: exact, never overflow
     power = np.linalg.matrix_power(base, n - 1)  # walks of length n-1, last letter first
     if word_class is WordClass.PERIODICALLY_EXTENDABLE:

@@ -32,6 +32,7 @@ from markovjsr import (
     sandwich,
     surviving_nodes,
 )
+from markovjsr.radius import NORM_TOL, SPECTRAL_TOL
 from tests.conftest import FOUR_LETTER_ROWS, random_binary_rows, window_class_words
 
 SQRT6 = math.sqrt(6.0)
@@ -119,8 +120,8 @@ def test_criterion_2_randomized_lift_equalities():
     elapsed = time.perf_counter() - start
     _report(
         2, ok and elapsed < 60.0, elapsed,
-        f"200 instances, n=1..5; worst norm diff {worst_norm:.2e} (tol 1e-9), "
-        f"worst spectral diff {worst_spec:.2e} (tol 1e-7)",
+        f"200 instances, n=1..5; worst norm diff {worst_norm:.2e} (tol {NORM_TOL:g}), "
+        f"worst spectral diff {worst_spec:.2e} (tol {SPECTRAL_TOL:g})",
     )
     assert ok
     assert elapsed < 60.0
@@ -178,13 +179,13 @@ def test_criterion_4_golden_mean_convergence():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[1, 1], [1, 0]])
     report = sandwich(mats, om, 10)
-    lower_by_n = {p.n: p.value for p in report.lower_points()}
+    lower_by_n = {p.n: p.value for p in report.lower}
     ok = abs(report.best_lower - SQRT6) <= 1e-9
     ok &= abs(lower_by_n[2] - report.best_lower) <= 1e-12  # attained at n = 2
     ok &= report.best_upper - SQRT6 <= 0.2
     running = []
     best = float("inf")
-    for p in report.upper_points():
+    for p in report.upper:
         best = min(best, p.value)
         running.append(best)
     ok &= all(a >= b - 1e-15 for a, b in zip(running, running[1:]))

@@ -209,6 +209,15 @@ def test_non_binary_omega_entry_is_validation_error(runner, tmp_path):
     assert "(1,2)" in (result.stderr or result.output)
 
 
+def test_huge_integer_omega_entry_is_named(runner, tmp_path):
+    # numpy holds a 400-digit integer only as a Python object
+    doc = {**GOLDEN_MEAN_DOC, "omega": [[1, 1], [1, 10**400]]}
+    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+    assert result.exit_code == 3
+    message = result.stderr or result.output
+    assert "transition entry at (2,2) is 1000" in message and "expected 0 or 1" in message
+
+
 def test_string_matrix_entry_is_parse_error(runner, tmp_path):
     doc = {
         "dimension": 1,

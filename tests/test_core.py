@@ -49,6 +49,21 @@ def test_transition_matrix_rejects_non_binary_entry():
         TransitionMatrix.from_rows([[1, 2], [0, 1]])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 10**400], [1, 1]], r"entry at \(1,2\) is 1000.*expected 0 or 1"),
+        ([[1, None], [1, 1]], r"entry at \(1,2\) is None, expected 0 or 1"),
+        ([[1, "a"], [1, 1]], r"entry at \(1,2\) is 'a', expected 0 or 1"),
+        ([[1, 1], [1]], "ragged"),
+    ],
+    ids=["huge-integer", "none", "string", "ragged"],
+)
+def test_transition_matrix_names_an_entry_numpy_holds_as_object(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        TransitionMatrix.from_rows(rows)
+
+
 def test_matrix_set_rejects_non_square_member():
     with pytest.raises(ValidationError, match="member 2"):
         MatrixSet.from_members([np.zeros((2, 2)), np.zeros((2, 3))])

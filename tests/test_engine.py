@@ -35,7 +35,6 @@ from markovjsr import (
     spectral_radii,
 )
 from markovjsr import radius
-from markovjsr.radius import BoundKind
 from tests.conftest import fold_product, random_binary_rows, window_class_words
 
 NUMPY_NORMS = {
@@ -261,9 +260,9 @@ def test_sweep_past_int64_codes():
     assert window_class_words(swap, n - 1, periodic) == []
 
     report = sandwich(mats, om, n)
-    for point in report.points:
+    for point, spectral in [(p, False) for p in report.upper] + [(p, True) for p in report.lower]:
         products = [fold_product(members, w) for w in alternating(point.n)]
-        if point.kind is BoundKind.NORM:
+        if not spectral:
             expected = max(NUMPY_NORMS[NormKind.ROWSUM](p) for p in products) ** (1 / point.n)
             assert not point.empty_word_set
             assert point.value == pytest.approx(expected, rel=1e-12, abs=0)

@@ -7,7 +7,9 @@ passes to `verify --claimed-lift`).  Each golden file holds the JSON
 report that the command printed before the product engine replaced the
 per-word walkers, except kstep-bounds and kstep-verify: their n=1
 periodic value moved in the 12th digit to the mpmath value when LAPACK
-eigenvalues replaced the squaring kernel.  Regenerate one only for an
+eigenvalues replaced the squaring kernel, and the four verify goldens,
+whose `spectral_tol` line moved from 1e-07 to 2e-09 when the tolerance
+was tightened to twice the kernel's.  Regenerate one only for an
 intended change of output, by running the command from tests/data with
 `--format json`.
 """

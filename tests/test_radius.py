@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovjsr import (
-    BoundKind,
     MatrixSet,
     NormKind,
     TransitionMatrix,
@@ -22,6 +22,7 @@ from markovjsr import (
     surviving_nodes,
 )
 from markovjsr import radius
+from markovjsr.instancefile import load_instance
 from markovjsr.radius import ClassChainCheck, CrossBound, LiftEqualityCheck
 from tests.conftest import (
     brute_norm_bound,
@@ -65,7 +66,7 @@ def _markov_values(mats, om, n_max):
 
 def _spectral_point(mats, om, n):
     """The length-n periodic spectral bound."""
-    return sandwich(mats, om, n).lower_points()[n - 1]
+    return sandwich(mats, om, n).lower[n - 1]
 
 
 def _lift_check(mats, om, n, norm=NormKind.ROWSUM):
@@ -114,7 +115,6 @@ def test_rho_hat_n_golden_mean(golden_mean_scalars, golden_mean_omega):
     assert oracle == pytest.approx(SQRT6, abs=1e-15)
     point = _spectral_point(golden_mean_scalars, golden_mean_omega, 2)
     assert point.value == pytest.approx(oracle, rel=1e-9)
-    assert point.kind is BoundKind.SPECTRAL
 
 
 def test_rho_hat_n_length_one_needs_self_loops(golden_mean_scalars, golden_mean_omega):
@@ -131,7 +131,7 @@ def test_rho_hat_n_singleton_reduces_to_single_matrix_radius():
     mats = MatrixSet.from_members([m])
     om = TransitionMatrix.from_rows([[1]])
     want = float(max(abs(np.linalg.eigvals(m))))
-    for point in sandwich(mats, om, 4).lower_points():
+    for point in sandwich(mats, om, 4).lower:
         assert point.value == pytest.approx(want, rel=1e-8)
 
 
@@ -201,7 +201,7 @@ def test_lifted_engines_agree_on_random_instances():
     for _ in range(15):
         mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
         markov = _markov_values(mats, om, 4)
-        periodic = sandwich(mats, om, 4).lower_points()
+        periodic = sandwich(mats, om, 4).lower
         for check in full_verification(mats, om, 4).equality_checks:
             a = markov[check.n]
             b = check.norm_lifted
@@ -340,11 +340,11 @@ def test_sandwich_pair_with_known_lower_bound():
     assert report.gap <= 0.15
     # cross-check the first few lengths against brute force
     rows = [[1, 1], [1, 1]]
-    for point in report.upper_points():
+    for point in report.upper:
         if point.n <= 6:
             oracle = brute_norm_bound([a1, a2], rows, point.n, "markov")
             assert point.value == pytest.approx(oracle, rel=1e-12)
-    for point in report.lower_points():
+    for point in report.lower:
         if point.n <= 6:
             oracle = brute_spectral_bound([a1, a2], rows, point.n, "periodic")
             assert point.value == pytest.approx(oracle, rel=1e-7)
@@ -354,7 +354,7 @@ def test_sandwich_acyclic_instance_collapses_to_zero():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 0], [1, 0]])
     report = sandwich(mats, om, 4)
-    for point in report.upper_points():
+    for point in report.upper:
         if point.n >= 2:
             assert point.value == 0.0 and point.empty_word_set
     assert report.best_upper == 0.0
@@ -368,7 +368,7 @@ def test_sandwich_alternating_cycle_has_periodic_words_only_at_even_lengths():
     mats = MatrixSet.from_members([np.array([[2.0]]), np.array([[3.0]])])
     om = TransitionMatrix.from_rows([[0, 1], [1, 0]])
     report = sandwich(mats, om, 8)
-    for point in report.lower_points():
+    for point in report.lower:
         if point.n % 2 == 1:
             assert point.empty_word_set and point.value == 0.0
         else:
@@ -426,7 +426,7 @@ def test_sandwich_scale_equivariance():
     factor = -1.7
     base = sandwich(mats, om, 5)
     report = sandwich(scaled(mats, factor), om, 5)
-    for p, q in zip(base.points, report.points):
+    for p, q in zip(base.upper + base.lower, report.upper + report.lower):
         assert q.value == pytest.approx(abs(factor) * p.value, rel=1e-10, abs=1e-12)
     assert report.best_upper == pytest.approx(abs(factor) * base.best_upper, rel=1e-10)
     assert report.best_lower == pytest.approx(abs(factor) * base.best_lower, rel=1e-10)
@@ -536,6 +536,24 @@ def test_full_verification_passes_on_reference_omega(four_letter_omega):
     outcome = full_verification(mats, four_letter_omega, 4)
     assert outcome.passed
     assert outcome.factor_audit.words_checked > 0
+
+
+def test_full_verification_fails_a_lifted_spectral_defect_of_1e_8(monkeypatch):
+    # beyond twice the kernel tolerance, where the lifted and periodic columns may differ
+    instance = load_instance(Path(__file__).resolve().parent / "data" / "sparse-chain.json")
+    mats, om = instance.matrices, instance.omega
+    exact = radius.spectral_radii
+
+    def skewed(stack):
+        radii = exact(stack)
+        return radii * (1 + 1e-8) if stack.shape[-1] == om.size * mats.dim else radii
+
+    assert full_verification(mats, om, 3).passed
+    monkeypatch.setattr(radius, "spectral_radii", skewed)
+    outcome = full_verification(mats, om, 3)
+    assert not outcome.passed
+    assert all(c.norm_ok for c in outcome.equality_checks)
+    assert not any(c.spectral_ok for c in outcome.equality_checks)
 
 
 @pytest.mark.parametrize(
