@@ -6,6 +6,8 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import sys
 
 import click
@@ -54,15 +56,31 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _guarded(body) -> None:
-    try:
-        body()
-    except InstanceParseError as exc:
-        _fail(2, str(exc))
-    except ValidationError as exc:
-        _fail(3, str(exc))
-    except BudgetExceeded as exc:
-        _fail(4, str(exc))
+def _command(body):
+    """Run ``body(instance, **options)``, which returns the JSON document
+    and its text lines (a generator, so only the chosen format is
+    rendered), on the loaded INSTANCE.  Errors map to the exit codes 2, 3
+    and 4; a document holding ``"passed": false`` exits 1."""
+
+    @functools.wraps(body)
+    def run(instance_path, fmt, **options):
+        try:
+            document, text_lines = body(load_instance(instance_path), **options)
+            if fmt == "json":
+                click.echo(render_document(document), nl=False)
+            else:
+                for line in text_lines:
+                    click.echo(line)
+            if document.get("passed") is False:
+                sys.exit(1)
+        except InstanceParseError as exc:
+            _fail(2, str(exc))
+        except ValidationError as exc:
+            _fail(3, str(exc))
+        except BudgetExceeded as exc:
+            _fail(4, str(exc))
+
+    return run
 
 
 def _resolve(instance: Instance) -> tuple[MatrixSet, TransitionMatrix, RecodedInstance | None]:
@@ -90,25 +108,14 @@ def _check_budget(omega: TransitionMatrix, n_max: int, budget: int, lifted: bool
         ends = step @ ends
 
 
-def _report_head(command: str, instance: Instance, **kwargs) -> dict:
-    head = {
+def _report_head(command: str, instance: Instance, **fields) -> dict:
+    return {
         "tool": "markovjsr",
         "version": __version__,
         "command": command,
         "instance_digest": instance.digest,
+        **fields,
     }
-    head.update(kwargs)
-    return head
-
-
-def _emit(document: dict, fmt: str, text_lines) -> None:
-    """Print the JSON document, or the text lines (a generator, so only the
-    chosen format is rendered)."""
-    if fmt == "json":
-        click.echo(render_document(document), nl=False)
-    else:
-        for line in text_lines:
-            click.echo(line)
 
 
 def _fmt(x: float) -> str:
@@ -169,59 +176,51 @@ def _bounds_text(report: dict):
 @click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int,
               help="Cap on estimated product operations.")
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-def cmd_bounds(instance_path, n_max, norm, word_class, class_chain, budget, fmt):
+@_command
+def cmd_bounds(instance, n_max, norm, word_class, class_chain, budget):
     """Sandwich bounds (or per-class tables) for an instance file."""
-
-    def body():
-        instance = load_instance(instance_path)
-        matrices, omega, rec = _resolve(instance)
-        _check_budget(omega, n_max, budget)
-        kind = NormKind(norm)
-        head_extra = {
-            "norm": norm,
-            "n_max": n_max,
-            "rel_tol": REL_TOL,
-            "word_class": word_class,
-            "recoded_from_kstep": rec is not None,
-        }
-        if rec is not None:
-            head_extra["kstep_order"] = instance.kstep.k
-            head_extra["state_count"] = len(rec.states)
-        report = _report_head("bounds", instance, **head_extra)
-        if class_chain:
-            report["class_chain"] = [
-                {
-                    "n": n,
-                    "values": [sig12(p.value) for p in pts],
-                    "empty": [p.empty_word_set for p in pts],
-                }
-                for n, pts in enumerate(alternative_class_chain(matrices, omega, n_max, kind), 1)
-            ]
-        else:
-            result = sandwich(matrices, omega, n_max, norm=kind, upper_class=WordClass(word_class))
-            report["alpha"] = sig12(result.alpha)
-            report["bounds"] = [
-                {
-                    "n": p.n,
-                    "class": p.word_class.value,
-                    "kind": kind,
-                    "value": sig12(p.value),
-                    "empty": p.empty_word_set,
-                }
-                for pair in zip(result.upper, result.lower)
-                for kind, p in zip(("norm", "spectral"), pair)
-            ]
-            report["aggregates"] = {
-                "best_lower": sig12(result.best_lower),
-                "best_lower_n": result.best_lower_n,
-                "best_upper": sig12(result.best_upper),
-                "best_upper_n": result.best_upper_n,
-                "gap": sig12(result.gap),
+    matrices, omega, rec = _resolve(instance)
+    _check_budget(omega, n_max, budget)
+    norm_kind = NormKind(norm)
+    report = _report_head(
+        "bounds", instance,
+        norm=norm, n_max=n_max, rel_tol=REL_TOL, word_class=word_class,
+        recoded_from_kstep=rec is not None,
+    )
+    if rec is not None:
+        report.update(kstep_order=instance.kstep.k, state_count=len(rec.states))
+    if class_chain:
+        report["class_chain"] = [
+            {
+                "n": n,
+                "values": [sig12(p.value) for p in pts],
+                "empty": [p.empty_word_set for p in pts],
             }
-            report["cross_bounds"] = _cross_rows(result.cross_bounds)
-        _emit(report, fmt, _bounds_text(report))
-
-    _guarded(body)
+            for n, pts in enumerate(alternative_class_chain(matrices, omega, n_max, norm_kind), 1)
+        ]
+        return report, _bounds_text(report)
+    result = sandwich(matrices, omega, n_max, norm=norm_kind, upper_class=WordClass(word_class))
+    report["alpha"] = sig12(result.alpha)
+    report["bounds"] = [
+        {
+            "n": p.n,
+            "class": p.word_class.value,
+            "kind": kind,
+            "value": sig12(p.value),
+            "empty": p.empty_word_set,
+        }
+        for pair in zip(result.upper, result.lower)
+        for kind, p in zip(("norm", "spectral"), pair)
+    ]
+    report["aggregates"] = {
+        "best_lower": sig12(result.best_lower),
+        "best_lower_n": result.best_lower_n,
+        "best_upper": sig12(result.best_upper),
+        "best_upper_n": result.best_upper_n,
+        "gap": sig12(result.gap),
+    }
+    report["cross_bounds"] = _cross_rows(result.cross_bounds)
+    return report, _bounds_text(report)
 
 
 # ------------------------------------------------------------------ lift
@@ -250,33 +249,27 @@ def _lift_text(report: dict):
 @main.command("lift")
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--format", "fmt", default="json", show_default=True, type=_FORMAT_CHOICES)
-def cmd_lift(instance_path, fmt):
+@_command
+def cmd_lift(instance):
     """Emit the transition lift as a classical (all-transitions) instance.
 
     The output is itself a valid instance file: N block matrices of
     dimension N*d with the complete transition matrix, ready to feed back
     into `bounds`.
     """
-
-    def body():
-        instance = load_instance(instance_path)
-        matrices, omega = instance.matrices, instance.omega
-        if omega is None:
-            raise ValidationError("lift needs an instance with an explicit transition matrix")
-        doc = instance_document(
-            lift_set(matrices, omega),
-            omega=TransitionMatrix.complete(omega.size),
-            extra={
-                "lift_factors": [
-                    omega_factor(omega, i).tolist() for i in range(1, omega.size + 1)
-                ],
-                "lift_blocks": omega.size,
-                "lift_block_dim": matrices.dim,
-            },
-        )
-        _emit(doc, fmt, _lift_text({**_report_head("lift", instance), **doc}))
-
-    _guarded(body)
+    matrices, omega = instance.matrices, instance.omega
+    if omega is None:
+        raise ValidationError("lift needs an instance with an explicit transition matrix")
+    doc = instance_document(
+        lift_set(matrices, omega),
+        omega=TransitionMatrix.complete(omega.size),
+        extra={
+            "lift_factors": [omega_factor(omega, i).tolist() for i in range(1, omega.size + 1)],
+            "lift_blocks": omega.size,
+            "lift_block_dim": matrices.dim,
+        },
+    )
+    return doc, _lift_text({**_report_head("lift", instance), **doc})
 
 
 # ---------------------------------------------------------------- verify
@@ -336,57 +329,44 @@ def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
 @click.option("--claimed-lift", default=None, type=str,
               help="Instance file claimed to be the lift of INSTANCE; compared entrywise.")
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-def cmd_verify(instance_path, n_max, norm, budget, claimed_lift, fmt):
+@_command
+def cmd_verify(instance, n_max, norm, budget, claimed_lift):
     """Check the lift equalities and structural facts on an instance."""
-
-    def body():
-        instance = load_instance(instance_path)
-        matrices, omega, rec = _resolve(instance)
-        _check_budget(omega, n_max, budget, lifted=True)
-        kind = NormKind(norm)
-        outcome = full_verification(matrices, omega, n_max, norm=kind)
-        claimed_ok = None
-        if claimed_lift is not None:
-            if instance.omega is None:
-                raise ValidationError("--claimed-lift needs an instance with an explicit transition matrix")
-            claimed_ok = _claimed_lift_matches(instance, claimed_lift)
-        passed = outcome.passed and claimed_ok is not False
-        report = _report_head(
-            "verify", instance,
-            norm=norm, n_max=n_max, rel_tol=REL_TOL,
-            norm_tol=NORM_TOL, spectral_tol=SPECTRAL_TOL,
-            recoded_from_kstep=rec is not None,
-        )
-        report["lift_equalities"] = [
-            {
-                "n": t.n,
-                "norm_lifted": sig12(t.norm_lifted),
-                "norm_constrained": sig12(t.norm_constrained),
-                "spectral_lifted": sig12(t.spectral_lifted),
-                "spectral_periodic": sig12(t.spectral_periodic),
-                "max_abs_diff": sig12(t.max_abs_diff),
-                "ok": t.passed,
-            }
-            for t in outcome.equality_checks
-        ]
-        report["factor_structure"] = {
-            "words_checked": outcome.factor_audit.words_checked,
-            "representation_ok": outcome.factor_audit.representation_ok,
-            "nonzero_iff_admissible_ok": outcome.factor_audit.nonzero_iff_admissible_ok,
-            "diagonal_iff_periodic_ok": outcome.factor_audit.diagonal_iff_periodic_ok,
+    matrices, omega, rec = _resolve(instance)
+    _check_budget(omega, n_max, budget, lifted=True)
+    claimed_ok = None
+    if claimed_lift is not None:  # before the sweeps, so that a bad claim fails fast
+        if instance.omega is None:
+            raise ValidationError("--claimed-lift needs an instance with an explicit transition matrix")
+        claimed_ok = _claimed_lift_matches(instance, claimed_lift)
+    outcome = full_verification(matrices, omega, n_max, norm=NormKind(norm))
+    report = _report_head(
+        "verify", instance,
+        norm=norm, n_max=n_max, rel_tol=REL_TOL,
+        norm_tol=NORM_TOL, spectral_tol=SPECTRAL_TOL,
+        recoded_from_kstep=rec is not None,
+    )
+    report["lift_equalities"] = [
+        {
+            "n": t.n,
+            "norm_lifted": sig12(t.norm_lifted),
+            "norm_constrained": sig12(t.norm_constrained),
+            "spectral_lifted": sig12(t.spectral_lifted),
+            "spectral_periodic": sig12(t.spectral_periodic),
+            "max_abs_diff": sig12(t.max_abs_diff),
+            "ok": t.passed,
         }
-        report["class_chain_monotone"] = [
-            {"n": c.n, "values": [sig12(v) for v in c.values], "ok": c.ok}
-            for c in outcome.class_chains
-        ]
-        report["cross_bounds"] = _cross_rows(outcome.cross_bounds)
-        report["claimed_lift_matches"] = claimed_ok
-        report["passed"] = passed
-        _emit(report, fmt, _verify_text(report))
-        if not passed:
-            sys.exit(1)
-
-    _guarded(body)
+        for t in outcome.equality_checks
+    ]
+    report["factor_structure"] = dataclasses.asdict(outcome.factor_audit)
+    report["class_chain_monotone"] = [
+        {"n": c.n, "values": [sig12(v) for v in c.values], "ok": c.ok}
+        for c in outcome.class_chains
+    ]
+    report["cross_bounds"] = _cross_rows(outcome.cross_bounds)
+    report["claimed_lift_matches"] = claimed_ok
+    report["passed"] = outcome.passed and claimed_ok is not False
+    return report, _verify_text(report)
 
 
 # ----------------------------------------------------------------- words
@@ -405,30 +385,28 @@ def _words_text(report: dict):
 @click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES)
 @click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int)
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-def cmd_words(instance_path, n, word_class, budget, fmt):
+@_command
+def cmd_words(instance, n, word_class, budget):
     """Enumerate the length-n words of a class, with a count cross-check."""
-
-    def body():
-        instance = load_instance(instance_path)
-        _, omega, rec = _resolve(instance)
-        _check_budget(omega, n, budget)
-        cls = WordClass(word_class)
-        listed = list(enumerate_words(omega, n, cls))
-        transfer = count_words(omega, n, cls)
-        report = _report_head(
-            "words", instance,
-            n=n, word_class=word_class,
-            recoded_from_kstep=rec is not None,
-        )
-        if rec is not None:
-            report["states"] = [list(s) for s in rec.states]
-        report["words"] = [list(w) for w in listed]
-        report["stream_count"] = len(listed)
-        report["transfer_count"] = transfer
-        report["counts_agree"] = transfer == len(listed)
-        _emit(report, fmt, _words_text(report))
-
-    _guarded(body)
+    _, omega, rec = _resolve(instance)
+    _check_budget(omega, n, budget)
+    cls = WordClass(word_class)
+    listed = [list(w) for w in enumerate_words(omega, n, cls)]
+    transfer = count_words(omega, n, cls)
+    report = _report_head(
+        "words", instance,
+        n=n, word_class=word_class,
+        recoded_from_kstep=rec is not None,
+    )
+    if rec is not None:
+        report["states"] = [list(s) for s in rec.states]
+    report.update(
+        words=listed,
+        stream_count=len(listed),
+        transfer_count=transfer,
+        counts_agree=transfer == len(listed),
+    )
+    return report, _words_text(report)
 
 
 # ---------------------------------------------------------- kstep-recode
@@ -447,22 +425,18 @@ def _recode_text(report: dict):
 @main.command("kstep-recode")
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--format", "fmt", default="json", show_default=True, type=_FORMAT_CHOICES)
-def cmd_kstep_recode(instance_path, fmt):
+@_command
+def cmd_kstep_recode(instance):
     """Recode an order-k instance into an explicit one-step instance file."""
-
-    def body():
-        instance = load_instance(instance_path)
-        if instance.kstep is None:
-            raise ValidationError("kstep-recode needs an instance with a kstep block")
-        rec = recode(instance.kstep, instance.matrices)
-        doc = instance_document(
-            rec.matrices,
-            omega=rec.omega,
-            extra={"states": [list(s) for s in rec.states]},
-        )
-        _emit(doc, fmt, _recode_text({**_report_head("kstep-recode", instance), **doc}))
-
-    _guarded(body)
+    if instance.kstep is None:
+        raise ValidationError("kstep-recode needs an instance with a kstep block")
+    rec = recode(instance.kstep, instance.matrices)
+    doc = instance_document(
+        rec.matrices,
+        omega=rec.omega,
+        extra={"states": [list(s) for s in rec.states]},
+    )
+    return doc, _recode_text({**_report_head("kstep-recode", instance), **doc})
 
 
 if __name__ == "__main__":

@@ -128,6 +128,28 @@ def test_bounds_kstep_instance_recodes_first(runner, tmp_path):
     assert report["aggregates"]["best_lower"] == pytest.approx(SQRT6, abs=1e-9)
 
 
+def test_bounds_text_names_the_recoded_order(runner, tmp_path):
+    path = write_instance(tmp_path, ORDER2_DOC)
+    result = invoke(runner, "bounds", str(path), "--n-max", "2")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[2:4] == [
+        "norm=rowsum n_max=2 rel_tol=1e-09 class=markov",
+        "recoded from order-2 constraint (3 states)",
+    ]
+
+
+def test_bounds_class_chain_text_table(runner, tmp_path):
+    path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
+    result = invoke(runner, "bounds", str(path), "--n-max", "2", "--class-chain")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == _text_head("bounds", GOLDEN_MEAN_DOC) + [
+        "norm=rowsum n_max=2 rel_tol=1e-09 class=markov",
+        "   n          periodic         infinite           markov            chain",
+        "   1                 2                3                3                3",
+        "   2     2.44948974278    2.44948974278    2.44948974278    2.44948974278",
+    ]
+
+
 def test_bounds_rejects_periodic_upper_class(runner, tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
     result = invoke(runner, "bounds", str(path), "--class", "periodic")
@@ -228,6 +250,49 @@ def test_string_matrix_entry_is_parse_error(runner, tmp_path):
     path = write_instance(tmp_path, doc)
     result = invoke(runner, "bounds", str(path))
     assert result.exit_code == 2
+
+
+KSTEP_DOC = {**ORDER2_DOC, "kstep": {"k": 1, "allowed": [[1, 1]]}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**GOLDEN_MEAN_DOC, "matrices": [[[2]], 3]}, "matrix 2: matrix must be a list"),
+        ([GOLDEN_MEAN_DOC], "top level must be a JSON object"),
+        ({"dimension": 1, "matrices": [[[2]]], "omega": [[1]]}, "missing required key 'field'"),
+        ({**GOLDEN_MEAN_DOC, "dimension": 0}, "'dimension' must be a positive integer, got 0"),
+        ({**GOLDEN_MEAN_DOC, "field": "quaternion"},
+         "'field' must be 'real' or 'complex', got 'quaternion'"),
+        ({**GOLDEN_MEAN_DOC, "matrices": []}, "'matrices' must be a nonempty list"),
+        ({**GOLDEN_MEAN_DOC, "omega": [[1, "1"], [1, 0]]},
+         "'omega' must be a list of rows of numbers"),
+        ({**KSTEP_DOC, "kstep": [1, [[1, 1]]]}, "'kstep' must be an object"),
+        ({**KSTEP_DOC, "kstep": {"k": 1}}, "'kstep' is missing key 'allowed'"),
+        ({**KSTEP_DOC, "kstep": {"k": True, "allowed": [[1, 1]]}},
+         "'kstep.k' must be an integer, got True"),
+        ({**KSTEP_DOC, "kstep": {"k": 1, "allowed": [[1, 1.0]]}},
+         "'kstep.allowed' must be a list of integer tuples"),
+    ],
+    ids=[
+        "matrix-not-a-list", "top-level-list", "missing-field", "dimension-zero",
+        "unknown-field", "no-matrices", "string-omega-entry", "kstep-not-an-object",
+        "kstep-without-allowed", "kstep-order-bool", "kstep-float-letter",
+    ],
+)
+def test_malformed_document_names_its_fault(runner, tmp_path, doc, message):
+    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_kstep_order_zero_is_validation_error(runner, tmp_path):
+    doc = {**KSTEP_DOC, "kstep": {"k": 0, "allowed": [[1]]}}
+    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "constraint order must be at least 1" in result.stderr
 
 
 def test_words_budget_guard(runner, tmp_path):
@@ -606,6 +671,42 @@ def test_verify_rejects_claimed_lift_without_complete_omega(runner, tmp_path, ru
     assert result.exit_code == 1
 
 
+def test_verify_rejects_claimed_lift_of_the_wrong_size(runner, tmp_path):
+    # complete transitions, but 2 scalar members instead of 3 of dimension 12
+    claimed = {**GOLDEN_MEAN_DOC, "omega": [[1, 1], [1, 1]]}
+    claimed_path = write_instance(tmp_path, claimed, name="claimed.json")
+    result = invoke(
+        runner, "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
+        "--claimed-lift", str(claimed_path),
+    )
+    assert "claimed lift matches: NO" in result.output
+    assert result.exit_code == 1
+
+
+def test_verify_claimed_lift_needs_an_explicit_omega(runner, tmp_path):
+    path = write_instance(tmp_path, ORDER2_DOC)
+    result = invoke(
+        runner, "verify", str(path), "--n-max", "3",
+        "--claimed-lift", str(DATA / "sparse-chain.lift.json"),
+    )
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "--claimed-lift needs an instance with an explicit transition matrix" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, code", [(GOLDEN_MEAN_DOC, 2), (ORDER2_DOC, 3)], ids=["missing-claimed-file", "kstep"]
+)
+def test_verify_checks_the_claimed_lift_before_any_sweep(runner, tmp_path, monkeypatch, doc, code):
+    calls = count_sweeps(monkeypatch)
+    result = invoke(
+        runner, "verify", str(write_instance(tmp_path, doc)), "--n-max", "3",
+        "--claimed-lift", str(tmp_path / "missing.json"),
+    )
+    assert result.exit_code == code
+    assert calls == []
+
+
 def test_verify_accepts_lift_output_of_non_integer_instance(runner, tmp_path):
     # `lift` prints 12 significant digits, which verify must accept as exact
     path = write_instance(tmp_path, NON_INTEGER_DOC)
@@ -734,3 +835,26 @@ def test_kstep_recode_requires_kstep_block(runner, tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
     result = invoke(runner, "kstep-recode", str(path))
     assert result.exit_code == 3
+
+
+# ------------------------------------------------------------------- help
+
+
+@pytest.mark.parametrize(
+    "command, first_line",
+    [
+        (None, "Growth-rate bounds for matrix products under transition constraints."),
+        ("bounds", "Sandwich bounds (or per-class tables) for an instance file."),
+        ("lift", "Emit the transition lift as a classical (all-transitions) instance."),
+        ("verify", "Check the lift equalities and structural facts on an instance."),
+        ("words", "Enumerate the length-n words of a class, with a count cross-check."),
+        ("kstep-recode", "Recode an order-k instance into an explicit one-step instance file."),
+    ],
+)
+def test_help_prints_the_docstring(runner, command, first_line):
+    result = invoke(runner, *([command] if command else []), "--help")
+    assert result.exit_code == 0
+    assert f"\n  {first_line}\n" in result.output
+    if command:
+        assert result.output.startswith(f"Usage: main {command} [OPTIONS] INSTANCE\n")
+        assert "--format [text|json]" in result.output

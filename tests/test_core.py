@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ def test_transition_matrix_rejects_non_binary_entry():
 def test_transition_matrix_names_an_entry_numpy_holds_as_object(rows, message):
     with pytest.raises(ValidationError, match=message):
         TransitionMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MatrixSet(1, (np.eye(1),), "quaternion"),
+         "field must be 'real' or 'complex', got 'quaternion'"),
+        (lambda: MatrixSet(0, (np.eye(1),)), "matrix dimension must be positive, got 0"),
+        (lambda: MatrixSet(1, ()), "a matrix family needs at least one member"),
+        (lambda: MatrixSet.from_members([]), "a matrix family needs at least one member"),
+        (lambda: MatrixSet.from_members([np.ones(2)]), "member 1 has shape (2,), expected square"),
+        (lambda: TransitionMatrix(0, np.zeros((0, 0))),
+         "transition matrix size must be positive, got 0"),
+        (lambda: TransitionMatrix(2, np.ones((3, 3))),
+         "transition matrix has shape (3, 3), expected (2, 2)"),
+        (lambda: TransitionMatrix.from_rows([1, 0]),
+         "transition matrix must be a rectangular 2-dimensional array, got shape (2,)"),
+    ],
+    ids=[
+        "unknown-field", "dimension-zero", "no-members", "from-no-members",
+        "from-vector-member", "transition-size-zero", "transition-shape", "transition-vector",
+    ],
+)
+def test_constructors_reject_malformed_input(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
 
 
 def test_matrix_set_rejects_non_square_member():

@@ -93,6 +93,18 @@ def test_constraint_rejects_wrong_tuple_length():
         KStepConstraint(base_alphabet=2, k=2, allowed=frozenset({(1, 1)}))
 
 
+@pytest.mark.parametrize(
+    "alphabet, order, message",
+    [
+        (0, 1, "alphabet size must be positive, got 0"),
+        (2, 0, "constraint order must be at least 1, got 0"),
+    ],
+)
+def test_constraint_rejects_non_positive_sizes(alphabet, order, message):
+    with pytest.raises(ValidationError, match=message):
+        KStepConstraint(base_alphabet=alphabet, k=order, allowed=frozenset({(1, 1)}))
+
+
 def test_window_words_minimum_length_is_k():
     constraint = KStepConstraint(base_alphabet=2, k=2, allowed=GOLDEN_ALLOWED_K2)
     assert window_class_words(constraint, 2, WordClass.MARKOV) == [(1, 1), (1, 2), (2, 1)]

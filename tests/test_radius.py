@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovjsr import (
+    BoundSequencePoint,
     MatrixSet,
     NormKind,
     TransitionMatrix,
@@ -394,6 +395,12 @@ def test_sandwich_upper_classes_that_split_are_sound():
         for cls in sound:
             report = sandwich(mats, om, 5, upper_class=cls)
             assert report.best_lower <= report.best_upper + 1e-9 * (1 + report.best_upper)
+
+
+def test_bound_point_over_no_words_must_be_zero():
+    with pytest.raises(ValidationError, match="an empty word set must report the bound 0"):
+        BoundSequencePoint(n=1, value=1.0, word_class=WordClass.MARKOV, empty_word_set=True)
+    assert BoundSequencePoint(n=1, value=0.0, word_class=WordClass.MARKOV, empty_word_set=True)
 
 
 def test_sandwich_rejects_periodic_upper_class(golden_mean_scalars, golden_mean_omega):
