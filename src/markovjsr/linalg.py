@@ -6,7 +6,10 @@ the package because it is cheap, exact on integer data, and invariant
 under the block structure produced by transition lifts.
 
 Spectral radii come from LAPACK's eigenvalues, except that a matrix whose
-square is exactly zero gets the exact radius 0.
+square is exactly zero gets the exact radius 0.  ``spectral_caps`` and
+``norm_caps`` bound what that kernel returns, rigorously in floating
+point, so the product engine can skip the matrices that cannot set a
+supremum.
 """
 
 from __future__ import annotations
@@ -86,6 +89,38 @@ def block_norm(
     return float(out) if arr.ndim == 2 else out
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u), u the unit roundoff: k rounded
+    operations change a value by at most this relative amount (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.1).
+    """
+    unit = np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit)
+
+
+def _square_stack(stack: np.ndarray) -> np.ndarray:
+    mats = np.asarray(stack)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValidationError(f"expected a stack of square matrices, got shape {mats.shape}")
+    return mats
+
+
+def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a nonempty stack times 2**-e, and the exponents e,
+    where e brings the largest entry modulus of the matrix into [1/2, 1).
+
+    The scaling is exact in binary floating point, save for entries that
+    it takes below the normal range, so the scaled matrices neither
+    overflow nor lose their zero pattern when multiplied.
+    """
+    _, exponent = np.frexp(np.abs(mats).max(axis=(1, 2)))
+    # two factors, so that neither power of two leaves the float range
+    half = exponent // 2
+    scaled = mats * np.ldexp(1.0, -half)[:, None, None]
+    scaled *= np.ldexp(1.0, half - exponent)[:, None, None]
+    return scaled, exponent
+
+
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of square matrices: the largest eigenvalue
     modulus from LAPACK (``np.linalg.eigvals``), one matrix at a time.
@@ -94,24 +129,80 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
     ``eigvals`` is not asked: for such a matrix it returns noise of about
     sqrt(eps)*||M||, not 0.  Every lifted product of an admissible word
     that is not periodically extendable is of this kind.  The square is
-    taken after scaling each matrix by a power of two that brings its
-    largest entry modulus into [1/2, 1): that scaling is exact in binary
-    floating point, so the zero pattern is that of M @ M at any scale of
-    M.  The test cannot overflow, and an entry of the square underflows
-    only when it is below about 1e-308 times max|m_ij|**2.
+    taken of the matrix scaled by ``_scaled``, so the zero pattern is that
+    of M @ M at any scale of M.  The test cannot overflow, and an entry of
+    the square underflows only when it is below about 1e-308 times
+    max|m_ij|**2.
     """
-    mats = np.asarray(stack)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValidationError(f"expected a stack of square matrices, got shape {mats.shape}")
+    mats = _square_stack(stack)
     out = np.zeros(mats.shape[0])
     if out.size == 0 or mats.shape[1] == 0:
         return out
-    _, exponent = np.frexp(np.abs(mats).max(axis=(1, 2)))
-    # two factors, so that neither power of two leaves the float range
-    half = exponent // 2
-    scaled = mats * np.ldexp(1.0, -half)[:, None, None]
-    scaled *= np.ldexp(1.0, half - exponent)[:, None, None]
+    scaled, _ = _scaled(mats)
     live = np.flatnonzero(np.matmul(scaled, scaled).any(axis=(1, 2)))
     if live.size:
         out[live] = np.abs(np.linalg.eigvals(mats[live])).max(axis=1)
     return out
+
+
+def _frobenius(mats: np.ndarray) -> np.ndarray:
+    """The computed Frobenius norms of a stack of d x d matrices, raised by
+    the rounding of their sums of squared moduli."""
+    a = np.abs(mats)
+    return np.sqrt((a * a).sum(axis=(1, 2))) * (1 + _gamma(2 * a.shape[-1] ** 2 + 4))
+
+
+def spectral_caps(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on what ``spectral_radii`` returns for a stack of
+    square matrices: ||(S^2)^2||_F^(1/4) * 2**e, where S = 2**-e * M is
+    the scaling of ``_scaled``, so that no product overflows.
+
+    rho(M)^4 = rho(M^4) <= ||M^4||_F.  The cap is rigorous in floating
+    point: Higham's gamma_k terms for both squarings and for the Frobenius
+    sums are added before the root.  It also bounds the radius of every
+    matrix within the backward error of LAPACK's eigenvalues, taken as
+    ||E||_F <= d^2 * u * ||M||_F: for a defective or nearly defective M
+    those computed moduli can exceed rho(M) by far more than REL_TOL, but
+    never the cap.  As
+    ||S||_F >= 1/2 for M != 0, that term also outweighs all that underflow
+    can lose.  A cap may be +inf when 2**e is near the top of the float
+    range; it is never NaN.
+    """
+    mats = _square_stack(stack)
+    out = np.zeros(mats.shape[0])
+    dim = mats.shape[1]
+    if out.size == 0 or dim == 0:
+        return out
+    scaled, exponent = _scaled(mats)
+    product = _gamma(2 * dim + 4)  # one entry of a real or complex matrix product
+    square = np.matmul(scaled, scaled)
+    s, t = _frobenius(scaled), _frobenius(square)
+    s2 = s * s
+    e1 = product * s2  # ||fl(S^2) - S^2||_F
+    e2 = product * t * t  # ||fl(T^2) - T^2||_F for T = fl(S^2)
+    # S^4 - fl(T^2) = (T^2 - fl(T^2)) + (S^2 - T) S^2 + T (S^2 - T), ||S^2||_F <= t + e1
+    quartic = _frobenius(np.matmul(square, square)) + e2 + e1 * (2 * t + e1)
+    # ||(S + E)^4 - S^4||_F <= ((1 + d^2 u)^4 - 1) ||S||_F^4
+    quartic += _gamma(4 * dim * dim) * (s2 * s2)
+    # the dozen roundings of this bound and the two of its root
+    root = np.sqrt(np.sqrt(quartic * (1 + _gamma(32))))
+    with np.errstate(over="ignore"):
+        out = np.ldexp(root, exponent)
+    # a subnormal result was rounded to nearest, perhaps down (even to 0)
+    rounded = (root > 0) & (out < np.finfo(float).tiny)
+    return np.where(rounded, np.nextafter(out, np.inf), out)
+
+
+def norm_caps(norms: np.ndarray, dim: int) -> np.ndarray:
+    """Upper bounds on what ``spectral_radii`` returns for dim x dim
+    matrices, from their computed sub-multiplicative norms (``operator_norm``
+    or ``block_norm``): rho(M) <= ||M||.
+
+    The bound adds the rounding of the norm's sums, what underflow can
+    lose from a Frobenius sum, and LAPACK's backward error as in
+    ``spectral_caps``: in each of these norms ||E|| <= d^(1/2) ||E||_F
+    and ||M||_F <= d^(1/2) ||M||, so ||E||_F <= d^2 u ||M||_F gives
+    ||E|| <= d^3 u ||M||.
+    """
+    underflow = dim * np.sqrt(np.finfo(float).smallest_subnormal)
+    return norms * (1 + _gamma(dim**3 + dim * dim + 2)) + underflow

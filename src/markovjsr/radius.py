@@ -24,11 +24,16 @@ beyond.  ``_sweep`` takes from that single pass the counts and norm
 suprema of every length and class (class membership is a vector mask on
 each word's first and last state) and the spectral suprema of the
 periodically extendable words, fed to the kernel through one buffer
-tagged by length.  The kernel sees one word per rotation class: rho is
-invariant under rotation (AB and BA have the same nonzero spectrum) and
-the periodic words of every automaton here are closed under rotation, so
-the lexicographically least rotation, the least numeral among the
-rotations, stands for all of them.
+tagged by length.  The kernel sees at most one word per rotation class:
+rho is invariant under rotation (AB and BA have the same nonzero
+spectrum) and the periodic words of every automaton here are closed under
+rotation, so the lexicographically least rotation, the least numeral
+among the rotations, stands for all of them.  Only the contenders among
+those words reach it: a word whose norm, or whose cap ||P^4||_F^(1/4)
+from ``linalg.spectral_caps``, times 1 + REL_TOL, falls below the
+supremum its length already has cannot raise that supremum, and is
+skipped.  Both bounds hold what the kernel would return, so every
+supremum stays bitwise what it would be without them.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ from markovjsr.linalg import (
     REL_TOL,
     NormKind,
     block_norm,
+    norm_caps,
     operator_norm,
+    spectral_caps,
     spectral_radii,
 )
 
@@ -307,21 +314,46 @@ def _sweep(
 ) -> _Sweep:
     """One expansion to n_max: counts and norm suprema of every length and
     class, and the spectral suprema of the periodically extendable words
-    at the lengths ``spectral``, one word per rotation class."""
+    at the lengths ``spectral``, one word per rotation class.
+
+    A class is staged for the kernel only if two upper bounds on what the
+    kernel would return for it, times 1 + REL_TOL, still reach the
+    supremum its length has so far: its norm (``norm_caps``), then, for
+    the words that pass, its ``spectral_caps`` value, computed per chunk.
+    At each flush, each length's highest-cap word goes to the kernel
+    first, then every other staged word that can still reach the raised
+    supremum.  A skipped word would have returned less than the supremum,
+    so every supremum is bitwise the same as without the caps.
+    """
     shape = (n_max + 1, len(WordClass))
     counts = np.zeros(shape, dtype=np.int64)
     norm_sup, spectral_sup = np.zeros(shape), np.zeros(n_max + 1)
     periodic = WordClass.PERIODICALLY_EXTENDABLE.strictness
+    letters, dim = automaton.step.shape[1], members.shape[-1]
     rows = _KERNEL_CHUNKS * _chunk_rows(members[0].nbytes)
     buffer = np.empty((rows, *members.shape[1:]), members.dtype) if spectral else None
-    tags = np.empty(rows, dtype=np.intp)
+    tags, caps = np.empty(rows, dtype=np.intp), np.empty(rows)
     fill = 0
+
+    def reaches(bounds: np.ndarray, sup) -> np.ndarray:
+        return bounds * (1 + REL_TOL) >= sup
+
+    def evaluate(staged: np.ndarray) -> None:
+        if not staged.size:
+            return
+        radii = spectral_radii(buffer[staged])
+        _require_finite(radii, "spectral radius")
+        np.maximum.at(spectral_sup, tags[staged], radii)
 
     def flush() -> None:
         nonlocal fill
-        radii = spectral_radii(buffer[:fill])
-        _require_finite(radii, "spectral radius")
-        np.maximum.at(spectral_sup, tags[:fill], radii)
+        tag, cap = tags[:fill], caps[:fill]
+        order = np.lexsort((-cap, tag))
+        tops = order[np.diff(tag[order], prepend=-1) != 0]
+        evaluate(tops)
+        rest = np.ones(fill, dtype=bool)
+        rest[tops] = False
+        evaluate(np.flatnonzero(rest & reaches(cap, spectral_sup[tag])))
         fill = 0
 
     # overflow is reported as a ValidationError, not as a warning
@@ -336,18 +368,25 @@ def _sweep(
             norm_sup[n] = np.maximum(norm_sup[n], by_class)
             if n not in spectral:
                 continue
-            kept = np.flatnonzero(member[:, periodic])
-            kept = kept[_least_rotations(chunk.codes[kept], automaton.step.shape[1], n)]
+            reach = reaches(norm_caps(norms, dim), spectral_sup[n])
+            kept = np.flatnonzero(member[:, periodic] & reach)
+            kept = kept[_least_rotations(chunk.codes[kept], letters, n)]
+            if not len(kept):
+                continue
             chosen = chunk.products[kept]
+            bound = spectral_caps(chosen)
+            reach = reaches(bound, spectral_sup[n])
+            chosen, bound = chosen[reach], bound[reach]
             while len(chosen):
                 take = min(rows - fill, len(chosen))
-                buffer[fill:fill + take], tags[fill:fill + take] = chosen[:take], n
+                staged = slice(fill, fill + take)
+                buffer[staged], tags[staged], caps[staged] = chosen[:take], n, bound[:take]
                 fill += take
-                chosen = chosen[take:]
+                chosen, bound = chosen[take:], bound[take:]
                 if fill == rows:
                     flush()
-    if fill:
-        flush()
+        if fill:
+            flush()
     return _Sweep(counts=counts, norm_sup=norm_sup, spectral_sup=spectral_sup)
 
 
@@ -387,8 +426,10 @@ class LiftEqualityCheck:
     """Two-sided evaluation of the lift equalities at one length.
 
     The lifted side is computed with the dense engine over the complete
-    alphabet, the constrained side by class-filtered enumeration, so the
-    two columns share no shortcut.
+    alphabet, the constrained side by class-filtered enumeration.  Both
+    sweeps skip the words that cannot raise a spectral supremum, but by
+    caps of different matrices, the d x d products against their
+    (N*d) x (N*d) lifts, so a wrong skip shows up as a column mismatch.
     """
 
     n: int

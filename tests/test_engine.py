@@ -3,16 +3,19 @@
 The reference walks itertools.product over the whole alphabet, keeps the
 words that words.classify accepts, folds each product explicitly and
 takes its norms and eigenvalue moduli with plain numpy, over every word
-of a class (the engine sends one word per rotation class to the
-spectral kernel).  Shrinking the chunk size to a single word forces
+of a class (the engine sends at most one word per rotation class to the
+spectral kernel, and only words whose caps can still reach their
+length's supremum).  Shrinking the chunk size to a single word forces
 every expansion through many chunks and many spectral-kernel calls.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import sys
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -26,11 +29,14 @@ from markovjsr import (
     MatrixSet,
     NormKind,
     TransitionMatrix,
+    ValidationError,
     WordClass,
     alternative_class_chain,
     classify,
     enumerate_words,
+    full_verification,
     operator_norm,
+    radius_equivalence_check,
     sandwich,
     spectral_radii,
 )
@@ -273,37 +279,133 @@ def test_sweep_past_int64_codes():
             assert point.value == pytest.approx(max(radii) ** (1 / point.n), rel=1e-12, abs=0)
 
 
+def no_caps():
+    """Both spectral-kernel caps patched to +inf: every rotation class
+    reaches the kernel."""
+    stack = contextlib.ExitStack()
+    for name in ("norm_caps", "spectral_caps"):
+        stack.enter_context(mock.patch.object(
+            radius, name, lambda values, *_: np.full(len(values), np.inf),
+        ))
+    return stack
+
+
 @pytest.mark.parametrize("tiny", [False, True])
 def test_kernel_sees_one_word_per_rotation_class(tiny):
     om = TransitionMatrix.from_rows([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
     mats = MatrixSet.from_members(list(np.random.default_rng(3).standard_normal((3, 2, 2))))
     n_max = 7
-    sent = []
 
-    def recording(stack):
-        sent.append(len(stack))
-        return spectral_radii(stack)
+    def run(*patches):
+        sent, calls = [], []
 
-    with mock.patch.object(radius, "spectral_radii", recording):
-        with tiny_chunks() if tiny else contextlib.nullcontext():
+        def recording(stack):
+            sent.extend(stack.copy())
+            calls.append(len(stack))
+            return spectral_radii(stack)
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(radius, "spectral_radii", recording))
+            stack.enter_context(tiny_chunks() if tiny else contextlib.nullcontext())
+            for patch in patches:
+                stack.enter_context(patch)
             sweep = radius._sweep(
                 radius._Automaton.from_omega(om), np.stack(mats.members), n_max,
                 operator_norm, spectral=range(1, n_max + 1),
             )
+        assert len(calls) > 1 or not tiny
+        return sweep, {m.tobytes() for m in sent}, len(sent)
+
     classes = {
         _least_rotation(w)
         for n in range(1, n_max + 1)
         for w in itertools.product(range(1, 4), repeat=n)
         if WordClass.PERIODICALLY_EXTENDABLE in classify(w, om)
     }
-    assert sum(sent) == len(classes)
-    if tiny:
-        assert len(sent) > 1
+    full, every_class, calls = run(no_caps())
+    # without caps, each class reaches the kernel once, as one product
+    assert calls == len(every_class) == len(classes)
+    pruned, reached, calls = run()
+    # no class twice, and some classes never
+    assert calls == len(reached) < len(classes)
+    assert reached <= every_class
+    capless, _, _ = run(mock.patch.object(
+        radius, "spectral_caps", lambda stack: np.full(len(stack), np.inf),
+    ))
+    for other in (full, capless):
+        assert pruned.spectral_sup.tobytes() == other.spectral_sup.tobytes()
     _, _, spectral = reference(mats, om, n_max)
     np.testing.assert_allclose(
-        sweep.spectral_sup, spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
+        pruned.spectral_sup, spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
         rtol=1e-12, atol=0,
     )
+
+
+def test_caps_near_the_top_of_the_float_range_warn_nothing():
+    # the cap of this member is finite, but not once raised by REL_TOL
+    value = 1.797693134e308
+    mats = MatrixSet.from_members([np.array([[value]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = sandwich(mats, TransitionMatrix.from_rows([[1]]), 1)
+    assert report.best_lower == report.best_upper == value
+
+
+def _hex_values(report) -> list:
+    """Every number of a report, floats as float.hex, in field order."""
+    if dataclasses.is_dataclass(report):
+        report = [getattr(report, f.name) for f in dataclasses.fields(report)]
+    if isinstance(report, (list, tuple)):
+        return [v for item in report for v in _hex_values(item)]
+    return [float(report).hex() if isinstance(report, float) else report]
+
+
+def _outcome(call):
+    try:
+        return _hex_values(call())
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(["real", "complex", "nilpotent"]),
+    st.sampled_from([0, -60, 60]),
+    st.sampled_from([None, 1, 3]),
+)
+def test_caps_change_no_value(seed, size, dim, kind, scale, rows):
+    """sandwich, full_verification (both spectral columns) and
+    radius_equivalence_check give float.hex-equal values with the caps
+    and without them."""
+    rng = np.random.default_rng(seed)
+    # zero rows and columns make dead letters and empty classes
+    om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
+    members = rng.standard_normal((size, dim, dim))
+    if kind == "complex":
+        members = members + 1j * rng.standard_normal((size, dim, dim))
+    elif kind == "nilpotent":
+        # dense, so that eigvals sees defective matrices, not triangular ones
+        basis = rng.standard_normal((dim, dim)) + dim * np.eye(dim)
+        members = basis @ np.triu(members, 1) @ np.linalg.inv(basis)
+    mats = MatrixSet.from_members(
+        list(members * 2.0**scale), field_tag="complex" if kind == "complex" else "real",
+    )
+    allowed = frozenset(
+        t for t in itertools.product(range(1, size + 1), repeat=3) if rng.random() < 0.7
+    )
+    constraint = KStepConstraint(base_alphabet=size, k=2, allowed=allowed)
+    calls = (
+        lambda: sandwich(mats, om, 5),
+        lambda: full_verification(mats, om, 4).equality_checks,
+        lambda: radius_equivalence_check(constraint, mats, 3),
+    )
+    with tiny_chunks(rows) if rows else contextlib.nullcontext():
+        pruned = [_outcome(call) for call in calls]
+        with no_caps():
+            assert [_outcome(call) for call in calls] == pruned
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -20,7 +20,7 @@ from markovjsr import (
     operator_norm,
     spectral_radii,
 )
-from markovjsr.linalg import REL_TOL
+from markovjsr.linalg import REL_TOL, norm_caps, spectral_caps
 from tests.conftest import FOUR_LETTER_ROWS, fold_product
 
 
@@ -140,6 +140,8 @@ def _rho(m) -> float:
 
 def _mp_radius(m: np.ndarray) -> float:
     """Largest eigenvalue modulus from mpmath at 30 significant digits."""
+    if m.shape == (1, 1):
+        return float(abs(mpmath.mpmathify(m[0, 0])))
     with mpmath.workdps(30):
         eigenvalues = mpmath.eig(mpmath.matrix(m.tolist()), left=False, right=False)
         return float(max(abs(e) for e in eigenvalues))
@@ -256,6 +258,91 @@ def test_spectral_radius_survives_extreme_scales():
     want = float(max(abs(np.linalg.eigvals(m))))
     for scale in (1e120, 1e-120):
         assert _rho(scale * m) == pytest.approx(scale * want, rel=1e-8)
+
+
+# ------------------------------------------------------ spectral caps
+
+
+def _cap_stack(rng, dim: int, complex_field: bool) -> tuple[np.ndarray, list]:
+    """One matrix of each kind the caps must bound, with its spectral
+    radius from mpmath at 30 significant digits."""
+
+    def draw(*shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_field else out
+
+    basis = draw(dim, dim) + dim * np.eye(dim)
+    square_zero = np.zeros((dim, dim), dtype=basis.dtype)
+    half = dim // 2
+    square_zero[:half, half:] = draw(half, dim - half)
+    left, right, factor = draw(dim), draw(dim), draw()
+    stack = np.stack([
+        draw() * np.eye(dim) + np.eye(dim, k=1),                    # Jordan block
+        np.triu(draw(dim, dim), 1),                                 # strictly triangular
+        basis @ np.triu(draw(dim, dim), 1) @ np.linalg.inv(basis),  # dense, nearly nilpotent
+        np.outer(left, right),                                      # rank one
+        factor * np.eye(dim)[rng.permutation(dim)],                 # permutation
+        np.zeros((dim, dim)),
+        square_zero,
+    ])
+    scales = rng.choice([0, 1000, -1000, -1060], len(stack))  # -1060: subnormal entries
+    stack = stack * np.ldexp(1.0, scales)[:, None, None]
+    with mpmath.workdps(30):
+        # rho(x y^T) = |y^T x| and rho(c P) = |c|, taken of the scaled entries
+        rank_one = abs(mpmath.fsum(
+            mpmath.mpmathify(x) * mpmath.mpmathify(y) for x, y in zip(stack[3][:, 0], right)
+        ) / mpmath.mpmathify(right[0]))
+        radii = [_mp_radius(m) for m in stack[:3]] + [
+            float(rank_one), abs(stack[4]).max(), 0.0, 0.0,
+        ]
+    return stack, radii
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_spectral_caps_bound_the_radius(dim, complex_field):
+    stack, radii = _cap_stack(np.random.default_rng([dim, complex_field]), dim, complex_field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        caps = spectral_caps(stack)
+        kernel = spectral_radii(stack)
+    assert not np.isnan(caps).any()
+    assert np.all(caps >= radii)
+    assert np.all(caps >= kernel)
+    assert caps[5] == 0.0
+    # on c * P, P a permutation, ||(cP)^4||_F^(1/4) = |c| * dim^(1/8)
+    tiny = np.finfo(float).smallest_subnormal
+    assert caps[4] <= radii[4] * dim**0.125 * (1 + 1e-9) + 2 * tiny
+
+
+def test_spectral_caps_bound_the_kernel_where_it_strays_from_rho():
+    # trace 0 and determinant -2**-60, so rho = 2**-30; LAPACK's eigenvalues
+    # are those of a nearby matrix, and their moduli are about 13 times rho
+    a = 1 + 2.0**-30
+    m = np.array([[a, 1.0], [-(1 + 2.0**-29), -a]])
+    assert _mp_radius(m) == 2.0**-30
+    kernel = _rho(m)
+    assert kernel > 2.0**-30 * (1 + REL_TOL)
+    assert spectral_caps(m[None])[0] >= kernel
+
+
+def test_spectral_caps_overflow_to_inf_not_nan():
+    stack = np.stack([np.full((16, 16), 2.0**1023), np.zeros((16, 16))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        caps = spectral_caps(stack)
+    assert caps[0] == np.inf and caps[1] == 0.0
+    assert spectral_caps(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_norm_caps_bound_the_radius():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((30, 6, 6))
+    stack[::3] = np.triu(stack[::3], 1)
+    radii = spectral_radii(stack)
+    for kind in NormKind:
+        assert np.all(norm_caps(operator_norm(stack, kind), 6) >= radii)
+    assert np.all(norm_caps(block_norm(stack, 3, 2), 6) >= radii)
 
 
 # ------------------------------------------------------ shared properties
