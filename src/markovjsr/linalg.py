@@ -46,7 +46,9 @@ def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float | np
 
     A single matrix gives a float; a stack of shape (..., d, d) gives an
     array with one norm per matrix, each computed exactly as for a single
-    matrix.
+    matrix.  FROBENIUS squares the entries of each matrix after an exact
+    power-of-two scaling, so that it neither underflows nor overflows
+    where the norm itself is representable.
     """
     a = np.abs(np.asarray(m))
     if kind is NormKind.ROWSUM:
@@ -54,7 +56,9 @@ def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float | np
     elif kind is NormKind.COLSUM:
         out = a.sum(axis=-2).max(axis=-1)
     else:
-        out = np.sqrt((a * a).reshape(*a.shape[:-2], -1).sum(axis=-1))
+        axes = (-2, -1)
+        a, exponent = _unit_scaled(a, axes)
+        out = _unscaled(np.sqrt((a * a).reshape(*a.shape[:-2], -1).sum(axis=-1)), exponent, axes)
     return float(out) if a.ndim == 2 else out
 
 
@@ -83,10 +87,25 @@ def block_norm(
         per_block = quads.sum(axis=-1).max(axis=-2)
     elif inner is NormKind.COLSUM:
         per_block = quads.sum(axis=-3).max(axis=-1)
-    else:
-        per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
+    else:  # scaled as in operator_norm, by the largest entry of the whole matrix
+        quads, exponent = _unit_scaled(quads, (-4, -3, -2, -1))
+        per_block = _unscaled(np.sqrt((quads * quads).sum(axis=(-3, -1))), exponent, (-3, -1))
     out = per_block.sum(axis=-1).max(axis=-1)
     return float(out) if arr.ndim == 2 else out
+
+
+def _unit_scaled(a: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Entry moduli ``a`` times 2**-e, with e kept over ``axes`` (one per
+    matrix), where e brings the largest modulus into [1/2, 1); exact save
+    for moduli that it takes below the normal range."""
+    _, exponent = np.frexp(a.max(axis=axes, keepdims=True, initial=0.0))
+    return np.ldexp(a, -exponent), exponent
+
+
+def _unscaled(values: np.ndarray, exponent: np.ndarray, axes: tuple) -> np.ndarray:
+    """Norms of ``_unit_scaled`` matrices, summed over ``axes``, times 2**e."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, exponent.squeeze(axis=axes))
 
 
 def _gamma(k: int) -> float:

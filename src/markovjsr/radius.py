@@ -18,22 +18,25 @@ letters ascending, and join a queue of words waiting at their length.
 A chunk is yielded as soon as a queue holds a full one (about
 ``_CHUNK_BYTES`` of products), deepest length first, and each length's
 remainder once every shorter length is done; so each length comes out in
-lexicographic order, in full chunks.  A word carries no letters, only
-its base-L numeral (L letters): int64 while L**n fits, Python integers
-beyond.  ``_sweep`` takes from that single pass the counts and norm
-suprema of every length and class (class membership is a vector mask on
-each word's first and last state) and the spectral suprema of the
-periodically extendable words, fed to the kernel through one buffer
-tagged by length.  The kernel sees at most one word per rotation class:
-rho is invariant under rotation (AB and BA have the same nonzero
-spectrum) and the periodic words of every automaton here are closed under
-rotation, so the lexicographically least rotation, the least numeral
-among the rotations, stands for all of them.  Only the contenders among
-those words reach it: a word whose norm, or whose cap ||P^4||_F^(1/4)
-from ``linalg.spectral_caps``, times 1 + REL_TOL, falls below the
-supremum its length already has cannot raise that supremum, and is
-skipped.  Both bounds hold what the kernel would return, so every
-supremum stays bitwise what it would be without them.
+lexicographic order, in full chunks.  A keep mask per chunk may stop the
+walk below some words: the dense lift oracle extends no word whose
+lifted product is exactly zero, as no extension of it can raise a
+supremum.  A word carries no letters, only its base-L numeral (L
+letters): int64 while L**n fits, Python integers beyond.  ``_sweep``
+takes from that single pass the counts and norm suprema of every length
+and class (class membership is a vector mask on each word's first and
+last state) and the spectral suprema of the periodically extendable
+words, fed to the kernel through one buffer tagged by length.  The
+kernel sees at most one word per rotation class: rho is invariant under
+rotation (AB and BA have the same nonzero spectrum) and the periodic
+words of every automaton here are closed under rotation, so the
+lexicographically least rotation, the least numeral among the rotations,
+stands for all of them.  Only the contenders among those words reach it:
+a word whose norm, or whose cap ||P^4||_F^(1/4) from
+``linalg.spectral_caps``, times 1 + REL_TOL, falls below the supremum
+its length already has cannot raise that supremum, and is skipped.  Both
+bounds hold what the kernel would return, so every supremum stays
+bitwise what it would be without them.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ class _Chunk:
     def __len__(self) -> int:
         return len(self.state)
 
-    def __getitem__(self, rows: slice) -> "_Chunk":
+    def __getitem__(self, rows: slice | np.ndarray) -> "_Chunk":
         return _Chunk(self.n, *(None if a is None else a[rows] for a in self._arrays()))
 
     @staticmethod
@@ -207,7 +210,11 @@ def _chunk_rows(row_bytes: int) -> int:
 
 
 def _expand(
-    automaton: _Automaton, members: np.ndarray | None, n_max: int, codes: bool = False
+    automaton: _Automaton,
+    members: np.ndarray | None,
+    n_max: int,
+    codes: bool = False,
+    extend: Callable[[_Chunk], np.ndarray] | None = None,
 ) -> Iterator[_Chunk]:
     """Every word of lengths 1..n_max, chunk by chunk, depth-first.
 
@@ -221,6 +228,10 @@ def _expand(
     length arrives in lexicographic order, and fewer than ``rows`` words
     plus one chunk's children wait at any length.  The walk keeps no
     recursion, so n_max is not bounded by the recursion limit.
+
+    ``extend``, if given, maps a yielded chunk to a mask of the words to
+    extend: the others get no children, so of every longer length only
+    the words whose proper prefixes were all kept are formed.
     """
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
@@ -247,6 +258,8 @@ def _expand(
             n -= 1  # every queue deeper than n is short of a chunk
             continue
         yield chunk
+        if n < n_max and extend is not None:
+            chunk = chunk[extend(chunk)]
         if n < n_max and len(child := _children(automaton, members, chunk)):
             if len(queues) == n + 1:
                 queues.append([])
@@ -284,7 +297,13 @@ def _least_rotations(codes: np.ndarray, letters: int, n: int) -> np.ndarray:
 class _Sweep:
     """Word counts and norm suprema by length (rows; row 0 unused) and
     class (columns, in WordClass.strictness order); spectral suprema of
-    the periodically extendable words by length."""
+    the periodically extendable words by length.
+
+    The counts are of the words the sweep formed.  A lifted sweep forms
+    no extension of a zero product, so its counts, and the emptiness of
+    its points, fall short of the word sets; only its ``.value``s are
+    read, and those are exact.
+    """
 
     counts: np.ndarray
     norm_sup: np.ndarray
@@ -311,10 +330,12 @@ def _sweep(
     n_max: int,
     norm_of: Callable[[np.ndarray], np.ndarray],
     spectral: range = range(0),
+    extend: Callable[[_Chunk], np.ndarray] | None = None,
 ) -> _Sweep:
     """One expansion to n_max: counts and norm suprema of every length and
     class, and the spectral suprema of the periodically extendable words
-    at the lengths ``spectral``, one word per rotation class.
+    at the lengths ``spectral``, one word per rotation class, over the
+    words that ``_expand`` forms under ``extend``.
 
     A class is staged for the kernel only if two upper bounds on what the
     kernel would return for it, times 1 + REL_TOL, still reach the
@@ -358,7 +379,7 @@ def _sweep(
 
     # overflow is reported as a ValidationError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _expand(automaton, members, n_max, codes=bool(spectral)):
+        for chunk in _expand(automaton, members, n_max, codes=bool(spectral), extend=extend):
             n = chunk.n
             member = automaton.classes(chunk.first, chunk.state)
             counts[n] += member.sum(axis=0)
@@ -412,13 +433,23 @@ def _lifted_sweep(
     block column, which is nilpotent unless the word is periodically
     extendable; so its CHAIN-class norm values equal the base family's
     Markov-class ones, and its spectral values the periodic-class ones.
+
+    A word whose lifted product is exactly zero is not extended: every
+    extension multiplies that zero by finite letters, so its product is
+    exactly zero too, with norm 0 and, its square being zero, kernel
+    radius exactly 0; neither raises a supremum, which starts at 0.  The
+    rule reads the lifted products only, never omega.
     """
     return _sweep(
         _Automaton.from_omega(TransitionMatrix.complete(omega.size)),
         np.stack(lift_set(matrices, omega).members), n_max,
         partial(block_norm, blocks=omega.size, block_dim=matrices.dim, inner=norm),
-        **spectral,
+        **spectral, extend=_nonzero,
     )
+
+
+def _nonzero(chunk: _Chunk) -> np.ndarray:
+    return chunk.products.any(axis=(1, 2))
 
 
 @dataclass(frozen=True)

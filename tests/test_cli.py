@@ -343,6 +343,40 @@ def test_bounds_out_of_range_scale_is_validation_error(runner, tmp_path, scale, 
     assert "overflow" in result.stderr or "underflow" in result.stderr
 
 
+# members 1e-170·I and 2e-170·I: the squares of their entries underflow
+TINY_DOC = {
+    "dimension": 2,
+    "field": "real",
+    "matrices": [np.diag([1e-170, 1e-170]).tolist(), np.diag([2e-170, 2e-170]).tolist()],
+    "omega": [[1, 1], [1, 1]],
+}
+
+
+def test_bounds_frobenius_norm_of_tiny_members(runner, tmp_path):
+    path = write_instance(tmp_path, TINY_DOC)
+    result = invoke(
+        runner, "bounds", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
+    )
+    assert result.exit_code == 0, result.output
+    agg = json.loads(result.output)["aggregates"]
+    assert agg["best_lower"] == 2e-170
+    assert agg["best_upper"] == pytest.approx(math.sqrt(8) * 1e-170, rel=1e-11)
+
+
+def test_verify_frobenius_norm_of_tiny_members(runner, tmp_path):
+    path = write_instance(tmp_path, TINY_DOC)
+    result = invoke(
+        runner, "verify", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["passed"] is True
+    (check,) = report["lift_equalities"]
+    assert check["spectral_lifted"] == check["spectral_periodic"] == 2e-170
+    assert check["norm_lifted"] == check["norm_constrained"]
+    assert check["norm_lifted"] == pytest.approx(math.sqrt(8) * 1e-170, rel=1e-11)
+
+
 # ------------------------------------------------------------- round trip
 
 

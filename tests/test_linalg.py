@@ -131,6 +131,23 @@ def test_norms_of_a_stack_equal_norms_of_each_matrix(kind):
     )
 
 
+def test_frobenius_norms_scale_exactly_by_powers_of_two():
+    # unscaled, the squares of these entries underflow (-600, -1000) or
+    # overflow (600, 1000); at scale 0 the norm is the plain sum of squares
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(0.5, 1, (20, 6, 6)) * rng.choice([-1, 1], (20, 6, 6))
+    frobenius = NormKind.FROBENIUS
+    plain = np.sqrt((stack * stack).sum(axis=(1, 2)))
+    assert np.array_equal(operator_norm(stack, frobenius), plain)
+    blocks = block_norm(stack, 3, 2, frobenius)
+    for k in (-1000, -600, 600, 1000):
+        scaled = np.ldexp(stack, k)
+        assert np.array_equal(operator_norm(scaled, frobenius), np.ldexp(plain, k))
+        assert np.array_equal(block_norm(scaled, 3, 2, frobenius), np.ldexp(blocks, k))
+    assert operator_norm(1e-170 * np.eye(2), frobenius) == math.sqrt(2) * 1e-170
+    assert block_norm(np.zeros((4, 4)), 2, 2, frobenius) == 0.0
+
+
 # --------------------------------------------------------- spectral radius
 
 
