@@ -45,6 +45,8 @@ DEFAULT_BUDGET = 10_000_000
 _NORM_CHOICES = click.Choice([k.value for k in NormKind])
 _CLASS_CHOICES = click.Choice([c.value for c in WordClass])
 _FORMAT_CHOICES = click.Choice(["text", "json"])
+_BUDGET_OPTION = click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int,
+                              help="Cap on estimated product operations.")
 
 
 class BudgetExceeded(RuntimeError):
@@ -92,20 +94,20 @@ def _resolve(instance: Instance) -> tuple[MatrixSet, TransitionMatrix, RecodedIn
 
 
 def _check_budget(omega: TransitionMatrix, n_max: int, budget: int, lifted: bool = False) -> None:
-    """Estimate the product operations of lengths 1..n_max as the chain
-    words times their length (plus every lifted word), summed only until
-    the total passes the budget."""
+    """Estimate the product operations of lengths 1..n_max as the words formed
+    times their length, summed only until the total passes the budget.  The lift
+    oracle extends only nonzero (admissible) words: N per shorter chain word."""
     step = omega.entries.astype(object)
     ends = np.ones(omega.size, dtype=object)  # chain words by last letter, exact
-    total = 0
+    total, shorter = 0, 1  # chain words one letter shorter; at n = 1, the empty word
     for n in range(1, n_max + 1):
-        total += int(ends.sum()) * n + (omega.size**n * n if lifted else 0)
+        total += (int(ends.sum()) + (omega.size * shorter if lifted else 0)) * n
         if total > budget:
             raise BudgetExceeded(
                 f"estimated at least {total} product operations exceed the budget {budget}; "
                 "lower --n-max or raise --budget"
             )
-        ends = step @ ends
+        ends, shorter = step @ ends, int(ends.sum())
 
 
 def _report_head(command: str, instance: Instance, **fields) -> dict:
@@ -173,8 +175,7 @@ def _bounds_text(report: dict):
 @click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES,
               help="Word class for the upper norm bounds.")
 @click.option("--class-chain", is_flag=True, help="Tabulate all four class bounds per length instead.")
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int,
-              help="Cap on estimated product operations.")
+@_BUDGET_OPTION
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
 @_command
 def cmd_bounds(instance, n_max, norm, word_class, class_chain, budget):
@@ -325,7 +326,7 @@ def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--n-max", default=4, show_default=True, type=int)
 @click.option("--norm", default="rowsum", show_default=True, type=_NORM_CHOICES)
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int)
+@_BUDGET_OPTION
 @click.option("--claimed-lift", default=None, type=str,
               help="Instance file claimed to be the lift of INSTANCE; compared entrywise.")
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
@@ -383,7 +384,7 @@ def _words_text(report: dict):
 @click.argument("instance_path", metavar="INSTANCE")
 @click.option("--n", default=4, show_default=True, type=int, help="Word length.")
 @click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES)
-@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int)
+@_BUDGET_OPTION
 @click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
 @_command
 def cmd_words(instance, n, word_class, budget):

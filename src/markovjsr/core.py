@@ -29,9 +29,6 @@ class ValidationError(ValueError):
     """An input violates a structural invariant (shape, range, finiteness)."""
 
 
-_CLASS_ORDER = {"chain": 0, "markov": 1, "infinite": 2, "periodic": 3}
-
-
 class WordClass(Enum):
     """Admissibility classes of index words, ordered by containment.
 
@@ -53,8 +50,8 @@ class WordClass(Enum):
 
     @property
     def strictness(self) -> int:
-        """Position in the containment chain; larger means more restrictive."""
-        return _CLASS_ORDER[self.value]
+        """Position in the containment chain (definition order); larger is stricter."""
+        return list(WordClass).index(self)
 
 
 @dataclass(frozen=True, eq=False)

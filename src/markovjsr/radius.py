@@ -24,12 +24,13 @@ lifted product is exactly zero, as no extension of it can raise a
 supremum.  A word carries no letters, only its base-L numeral (L
 letters): int64 while L**n fits, Python integers beyond.  ``_sweep``
 takes from that single pass the counts and norm suprema of every length
-and class (class membership is a vector mask on each word's first and
-last state) and the spectral suprema of the periodically extendable
-words, fed to the kernel through one buffer tagged by length.  The
-kernel sees at most one word per rotation class: rho is invariant under
-rotation (AB and BA have the same nonzero spectrum) and the periodic
-words of every automaton here are closed under rotation, so the
+and class (each word adds to its level, its strictest class, one number
+from its first and last state; the nested classes gather the stricter
+levels after the loop) and the spectral suprema of the periodically
+extendable words, fed to the kernel through one buffer tagged by length.
+The kernel sees at most one word per rotation class: rho is invariant
+under rotation (AB and BA have the same nonzero spectrum) and the
+periodic words of every automaton here are closed under rotation, so the
 lexicographically least rotation, the least numeral among the rotations,
 stands for all of them.  Only the contenders among those words reach it:
 a word whose norm, or whose cap ||P^4||_F^(1/4) from
@@ -97,7 +98,7 @@ NORM_TOL = 1e-9
 SPECTRAL_TOL = 2 * REL_TOL
 
 # The class-chain view, weakest-class last.
-_CHAIN_ORDER = tuple(sorted(WordClass, key=lambda c: -c.strictness))
+_CHAIN_ORDER = tuple(reversed(WordClass))
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,12 @@ class _Automaton:
     def __init__(self, starts: np.ndarray, step: np.ndarray, head: np.ndarray):
         self.starts, self.step, self.head = starts, step, head
         self.allowed = step >= 0
-        self.has_out = alive = self.allowed.any(axis=1)
+        has_out = alive = self.allowed.any(axis=1)
         # states with an infinite walk: the greatest set closed under some step
         while not np.array_equal(alive, more := (self.allowed & alive[step]).any(axis=1)):
             alive = more
-        self.alive = alive
+        # strictest class short of periodic; numpy adds two booleans as an or
+        self.levels = has_out.astype(np.int8) + alive
 
     @classmethod
     def from_omega(cls, omega: TransitionMatrix) -> "_Automaton":
@@ -145,13 +147,12 @@ class _Automaton:
         letters = np.arange(omega.size)
         return cls(letters, np.where(omega.entries.T == 1, letters, -1), letters[:, None])
 
-    def classes(self, first: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """(W, 4) class membership of chain words, columns by strictness."""
+    def level(self, first: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Each chain word's strictest class, as its WordClass.strictness."""
         closing = state
         for letter in self.head[first].T:
             closing = np.where(closing >= 0, self.step[closing, letter], -1)
-        chain = np.ones(state.shape, dtype=bool)
-        return np.stack((chain, self.has_out[state], self.alive[state], closing >= 0), axis=1)
+        return np.where(closing >= 0, WordClass.PERIODICALLY_EXTENDABLE.strictness, self.levels[state])
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +274,7 @@ def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterat
     power = np.array([letters**j for j in range(n - 1, -1, -1)], dtype=_code_dtype(letters, n))
     for chunk in _expand(automaton, None, n, codes=True):
         if chunk.n == n:
-            keep = automaton.classes(chunk.first, chunk.state)[:, word_class.strictness]
+            keep = automaton.level(chunk.first, chunk.state) >= word_class.strictness
             yield from map(tuple, (chunk.codes[keep, None] // power % letters + 1).tolist())
 
 
@@ -296,8 +297,8 @@ def _least_rotations(codes: np.ndarray, letters: int, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Sweep:
     """Word counts and norm suprema by length (rows; row 0 unused) and
-    class (columns, in WordClass.strictness order); spectral suprema of
-    the periodically extendable words by length.
+    class (columns by WordClass.strictness, over the words of that level
+    or above); spectral suprema of the periodically extendable words by length.
 
     The counts are of the words the sweep formed.  A lifted sweep forms
     no extension of a zero product, so its counts, and the emptiness of
@@ -381,16 +382,15 @@ def _sweep(
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _expand(automaton, members, n_max, codes=bool(spectral), extend=extend):
             n = chunk.n
-            member = automaton.classes(chunk.first, chunk.state)
-            counts[n] += member.sum(axis=0)
+            level = automaton.level(chunk.first, chunk.state)
+            counts[n] += np.bincount(level, minlength=len(WordClass))
             norms = norm_of(chunk.products)
             _require_finite(norms, f"product norm at word length {n}")
-            by_class = np.where(member, norms[:, None], 0.0).max(axis=0)
-            norm_sup[n] = np.maximum(norm_sup[n], by_class)
+            np.maximum.at(norm_sup[n], level, norms)
             if n not in spectral:
                 continue
             reach = reaches(norm_caps(norms, dim), spectral_sup[n])
-            kept = np.flatnonzero(member[:, periodic] & reach)
+            kept = np.flatnonzero((level == periodic) & reach)
             kept = kept[_least_rotations(chunk.codes[kept], letters, n)]
             if not len(kept):
                 continue
@@ -408,6 +408,9 @@ def _sweep(
                     flush()
         if fill:
             flush()
+    # so far each word sits at its level only; fold in the stricter levels
+    counts = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    norm_sup = np.maximum.accumulate(norm_sup[:, ::-1], axis=1)[:, ::-1]
     return _Sweep(counts=counts, norm_sup=norm_sup, spectral_sup=spectral_sup)
 
 
@@ -684,14 +687,13 @@ def audit_factor_structure(
     for chunk in _expand(automaton, factors, n_max):
         products, first, last = chunk.products, chunk.first, chunk.state
         words = np.arange(len(first))
-        classes = automaton.classes(first, last)
-        markov = classes[:, WordClass.MARKOV.strictness]
-        periodic = classes[:, WordClass.PERIODICALLY_EXTENDABLE.strictness]
+        level = automaton.level(first, last)
+        periodic = level >= WordClass.PERIODICALLY_EXTENDABLE.strictness
         predicted = np.zeros_like(products)
         predicted[words, :, first] = omega.entries[:, last].T
         checked += len(words)
         rep_ok &= np.array_equal(products, predicted)
-        nz_ok &= np.array_equal(products.any(axis=(1, 2)), markov)
+        nz_ok &= np.array_equal(products.any(axis=(1, 2)), level >= WordClass.MARKOV.strictness)
         diag_ok &= np.array_equal(products[words, first, first] != 0, periodic)
         diag_ok &= np.array_equal(np.diagonal(products, axis1=1, axis2=2).any(axis=1), periodic)
     return FactorStructureAudit(

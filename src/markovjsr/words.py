@@ -54,8 +54,8 @@ def enumerate_words(
     A view on the product engine of ``markovjsr.radius``, run without
     products: only chain prefixes are ever extended (cost proportional to
     the number of chain words, not to the alphabet power), chunk by chunk,
-    and the class condition is a mask on each word's first and last
-    letter.  Lazy, so callers can stop early.
+    and a word is listed when its strictest class, found from its first
+    and last letter, is the class or a stricter one.  Lazy, so callers can stop early.
     """
     _check_length(n)
     yield from _class_words(_Automaton.from_omega(omega), n, word_class)

@@ -301,6 +301,15 @@ def test_words_budget_guard(runner, tmp_path):
     assert result.exit_code == 4
 
 
+def test_verify_budget_counts_only_the_lifted_words_formed(runner):
+    # 9 recoded states: the lift oracle forms 20,664 lifted products to n 9,
+    # but an estimate that counted all 9**n lifted words of each length
+    # passed the default budget at n 8
+    result = invoke(runner, "verify", str(DATA / "kstep-order2.json"), "--n-max", "9")
+    assert result.exit_code == 0
+    assert "verdict: PASS" in result.stdout
+
+
 @pytest.mark.parametrize(
     "command, length", [("bounds", "--n-max"), ("verify", "--n-max"), ("words", "--n")]
 )

@@ -16,7 +16,7 @@ import dataclasses
 import itertools
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
 from unittest import mock
 
 import numpy as np
@@ -437,22 +437,40 @@ def _windows_allowed(word, allowed, k, cyclic):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**25 - 1), st.booleans())
 def test_window_automaton_matches_brute_force(alphabet, k, seed, tiny):
+    """All four classes at every length, from word-level definitions that
+    do not use the automaton; the engine's one-number class of a word
+    relies on their nesting."""
     rng = np.random.default_rng(seed)
-    tuples = list(itertools.product(range(1, alphabet + 1), repeat=k + 1))
+    letters = range(1, alphabet + 1)
+    tuples = list(itertools.product(letters, repeat=k + 1))
     allowed = frozenset(t for t in tuples if rng.random() < 0.6) or frozenset(tuples[:1])
     constraint = KStepConstraint(base_alphabet=alphabet, k=k, allowed=allowed)
-    extendable = {t[:k] for t in allowed}
+    prefixes = {t[:j] for t in allowed for j in range(1, k + 2)}
+
+    def chain(word):
+        return word[:k + 1] in prefixes and _windows_allowed(word, allowed, k, cyclic=False)
+
+    @cache
+    def extends(tail, length):
+        """A chain word whose last k letters (all, if shorter) are ``tail``
+        has a chain extension by ``length`` letters."""
+        return length == 0 or any(
+            extends((tail + (c,))[-k:], length - 1) for c in letters if chain(tail + (c,))
+        )
+
+    # beyond alphabet**k + k letters an extension repeats a k-letter window
+    # and so can go on forever
+    members = {
+        WordClass.CHAIN: chain,
+        WordClass.MARKOV: lambda w: chain(w) and extends(w[-k:], 1),
+        WordClass.INFINITELY_EXTENDABLE: lambda w: chain(w) and extends(w[-k:], alphabet**k + k + 2),
+        WordClass.PERIODICALLY_EXTENDABLE: lambda w: _windows_allowed(w, allowed, k, cyclic=True),
+    }
     with tiny_chunks() if tiny else contextlib.nullcontext():
         for n in range(1, 2 * k + 3):
-            words = list(itertools.product(range(1, alphabet + 1), repeat=n))
-            assert window_class_words(constraint, n, WordClass.PERIODICALLY_EXTENDABLE) == [
-                w for w in words if _windows_allowed(w, allowed, k, cyclic=True)
-            ]
-            if n >= k:
-                assert window_class_words(constraint, n, WordClass.MARKOV) == [
-                    w for w in words
-                    if _windows_allowed(w, allowed, k, cyclic=False) and w[-k:] in extendable
-                ]
+            words = list(itertools.product(letters, repeat=n))
+            for cls, member in members.items():
+                assert window_class_words(constraint, n, cls) == [w for w in words if member(w)]
 
 
 def _kept(code: int, n: int) -> bool:
