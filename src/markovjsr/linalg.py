@@ -10,6 +10,10 @@ square is exactly zero gets the exact radius 0.  ``spectral_caps`` and
 ``norm_caps`` bound what that kernel returns, rigorously in floating
 point, so the product engine can skip the matrices that cannot set a
 supremum.
+
+One exact power-of-two scaling, ``_scaled``, in double precision for any
+dtype, serves the Frobenius norms, the caps and the kernel's zero test;
+empty and 0 x 0 stacks need no special case.
 """
 
 from __future__ import annotations
@@ -46,19 +50,21 @@ def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float | np
 
     A single matrix gives a float; a stack of shape (..., d, d) gives an
     array with one norm per matrix, each computed exactly as for a single
-    matrix.  FROBENIUS squares the entries of each matrix after an exact
-    power-of-two scaling, so that it neither underflows nor overflows
+    matrix, in double precision whatever the dtype.  FROBENIUS squares the entries of each matrix after the exact
+    scaling of ``_scaled``, so that it neither underflows nor overflows
     where the norm itself is representable.
     """
-    a = np.abs(np.asarray(m))
+    a = np.abs(_double(m))
+    if a.ndim < 2:
+        raise ValidationError(f"expected a matrix or a stack of them, got shape {np.shape(m)}")
     if kind is NormKind.ROWSUM:
-        out = a.sum(axis=-1).max(axis=-1)
+        out = a.sum(axis=-1).max(axis=-1, initial=0.0)
     elif kind is NormKind.COLSUM:
-        out = a.sum(axis=-2).max(axis=-1)
+        out = a.sum(axis=-2).max(axis=-1, initial=0.0)
     else:
-        axes = (-2, -1)
-        a, exponent = _unit_scaled(a, axes)
-        out = _unscaled(np.sqrt((a * a).reshape(*a.shape[:-2], -1).sum(axis=-1)), exponent, axes)
+        a, exponent = _scaled(a)
+        squares = (a * a).reshape(*a.shape[:-2], a.shape[-1] ** 2)
+        out = _unscaled(np.sqrt(squares.sum(axis=-1)), exponent)
     return float(out) if a.ndim == 2 else out
 
 
@@ -75,37 +81,53 @@ def block_norm(
     is, by the triangle inequality applied blockwise.  Like operator_norm,
     a stack of matrices gives an array of norms.
     """
-    arr = np.asarray(m)
+    a = np.abs(_double(m))
     n = blocks * block_dim
-    if arr.ndim < 2 or arr.shape[-2:] != (n, n):
+    if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValidationError(
-            f"matrix of shape {arr.shape} does not split into {blocks}x{blocks} "
+            f"matrix of shape {np.shape(m)} does not split into {blocks}x{blocks} "
             f"blocks of dimension {block_dim}"
         )
-    quads = np.abs(arr.reshape(*arr.shape[:-2], blocks, block_dim, blocks, block_dim))
+    if inner is NormKind.FROBENIUS:  # scaled as in operator_norm, one exponent per matrix
+        a, exponent = _scaled(a)
+    quads = a.reshape(*a.shape[:-2], blocks, block_dim, blocks, block_dim)
     if inner is NormKind.ROWSUM:
         per_block = quads.sum(axis=-1).max(axis=-2)
     elif inner is NormKind.COLSUM:
         per_block = quads.sum(axis=-3).max(axis=-1)
-    else:  # scaled as in operator_norm, by the largest entry of the whole matrix
-        quads, exponent = _unit_scaled(quads, (-4, -3, -2, -1))
-        per_block = _unscaled(np.sqrt((quads * quads).sum(axis=(-3, -1))), exponent, (-3, -1))
+    else:
+        per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
+        per_block = _unscaled(per_block, exponent[..., None, None])
     out = per_block.sum(axis=-1).max(axis=-1)
-    return float(out) if arr.ndim == 2 else out
+    return float(out) if a.ndim == 2 else out
 
 
-def _unit_scaled(a: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Entry moduli ``a`` times 2**-e, with e kept over ``axes`` (one per
-    matrix), where e brings the largest modulus into [1/2, 1); exact save
-    for moduli that it takes below the normal range."""
-    _, exponent = np.frexp(a.max(axis=axes, keepdims=True, initial=0.0))
-    return np.ldexp(a, -exponent), exponent
+def _double(a: np.ndarray) -> np.ndarray:
+    """``a`` as a contiguous float64 or complex128 array, the precision in
+    which ``MatrixSet`` stores every family; no copy if it is one already."""
+    return np.ascontiguousarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)
 
 
-def _unscaled(values: np.ndarray, exponent: np.ndarray, axes: tuple) -> np.ndarray:
-    """Norms of ``_unit_scaled`` matrices, summed over ``axes``, times 2**e."""
+def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a stack (..., d, d), in double precision, times 2**-e,
+    and the exponents e, of shape (...), where e brings the largest entry
+    modulus of the matrix into [1/2, 1); e is 0 for a zero or empty matrix.
+
+    One ``ldexp`` on the float view scales real and imaginary parts alike.
+    The scaling is exact in binary floating point, save for entries that
+    it takes below the normal range, so the scaled matrices neither
+    overflow nor lose their zero pattern when multiplied.
+    """
+    mats = _double(mats)
+    _, exponent = np.frexp(np.abs(mats).max(axis=(-2, -1), initial=0.0))
+    scaled = np.ldexp(mats.view(np.float64), -exponent[..., None, None])
+    return scaled.view(mats.dtype), exponent
+
+
+def _unscaled(values: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Values computed from ``_scaled`` matrices, times 2**e."""
     with np.errstate(over="ignore"):
-        return np.ldexp(values, exponent.squeeze(axis=axes))
+        return np.ldexp(values, exponent)
 
 
 def _gamma(k: int) -> float:
@@ -124,22 +146,6 @@ def _square_stack(stack: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _scaled(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of a nonempty stack times 2**-e, and the exponents e,
-    where e brings the largest entry modulus of the matrix into [1/2, 1).
-
-    The scaling is exact in binary floating point, save for entries that
-    it takes below the normal range, so the scaled matrices neither
-    overflow nor lose their zero pattern when multiplied.
-    """
-    _, exponent = np.frexp(np.abs(mats).max(axis=(1, 2)))
-    # two factors, so that neither power of two leaves the float range
-    half = exponent // 2
-    scaled = mats * np.ldexp(1.0, -half)[:, None, None]
-    scaled *= np.ldexp(1.0, half - exponent)[:, None, None]
-    return scaled, exponent
-
-
 def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """Spectral radii of a stack of square matrices: the largest eigenvalue
     modulus from LAPACK (``np.linalg.eigvals``), one matrix at a time.
@@ -155,8 +161,6 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
     """
     mats = _square_stack(stack)
     out = np.zeros(mats.shape[0])
-    if out.size == 0 or mats.shape[1] == 0:
-        return out
     scaled, _ = _scaled(mats)
     live = np.flatnonzero(np.matmul(scaled, scaled).any(axis=(1, 2)))
     if live.size:
@@ -185,13 +189,10 @@ def spectral_caps(stack: np.ndarray) -> np.ndarray:
     never the cap.  As
     ||S||_F >= 1/2 for M != 0, that term also outweighs all that underflow
     can lose.  A cap may be +inf when 2**e is near the top of the float
-    range; it is never NaN.
+    range; it is never NaN for finite input.
     """
     mats = _square_stack(stack)
-    out = np.zeros(mats.shape[0])
     dim = mats.shape[1]
-    if out.size == 0 or dim == 0:
-        return out
     scaled, exponent = _scaled(mats)
     product = _gamma(2 * dim + 4)  # one entry of a real or complex matrix product
     square = np.matmul(scaled, scaled)
@@ -205,8 +206,7 @@ def spectral_caps(stack: np.ndarray) -> np.ndarray:
     quartic += _gamma(4 * dim * dim) * (s2 * s2)
     # the dozen roundings of this bound and the two of its root
     root = np.sqrt(np.sqrt(quartic * (1 + _gamma(32))))
-    with np.errstate(over="ignore"):
-        out = np.ldexp(root, exponent)
+    out = _unscaled(root, exponent)
     # a subnormal result was rounded to nearest, perhaps down (even to 0)
     rounded = (root > 0) & (out < np.finfo(float).tiny)
     return np.where(rounded, np.nextafter(out, np.inf), out)

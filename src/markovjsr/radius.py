@@ -361,8 +361,6 @@ def _sweep(
         return bounds * (1 + REL_TOL) >= sup
 
     def evaluate(staged: np.ndarray) -> None:
-        if not staged.size:
-            return
         radii = spectral_radii(buffer[staged])
         _require_finite(radii, "spectral radius")
         np.maximum.at(spectral_sup, tags[staged], radii)

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from markovjsr import MatrixSet, TransitionMatrix, kstep, radius
+from markovjsr import MatrixSet, TransitionMatrix, kstep, radius, surviving_nodes
 
 
 @pytest.fixture
@@ -129,6 +129,30 @@ def scaled(mats: MatrixSet, c) -> MatrixSet:
 
 def random_binary_rows(rng, size):
     return [[int(v) for v in row] for row in rng.integers(0, 2, (size, size))]
+
+
+def random_instance(seed: int, size: int, dim: int, complex_field: bool):
+    """A random instance: any 0/1 rows, Gaussian real or complex members."""
+    rng = np.random.default_rng(seed)
+    om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
+    members = rng.standard_normal((size, dim, dim))
+    if complex_field:
+        members = members + 1j * rng.standard_normal((size, dim, dim))
+    field = "complex" if complex_field else "real"
+    return MatrixSet.from_members(list(members), field_tag=field), om
+
+
+def random_cyclic_instance(rng, max_letters=4, max_dim=3):
+    """A random instance whose transition graph has a cycle."""
+    while True:
+        size = int(rng.integers(1, max_letters + 1))
+        dim = int(rng.integers(1, max_dim + 1))
+        om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
+        if surviving_nodes(om):
+            mats = MatrixSet.from_members(
+                [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
+            )
+            return mats, om
 
 
 def count_sweeps(monkeypatch) -> list:

@@ -30,10 +30,14 @@ from markovjsr import (
     radius_equivalence_check,
     recode,
     sandwich,
-    surviving_nodes,
 )
 from markovjsr.radius import NORM_TOL, SPECTRAL_TOL
-from tests.conftest import FOUR_LETTER_ROWS, random_binary_rows, window_class_words
+from tests.conftest import (
+    FOUR_LETTER_ROWS,
+    random_binary_rows,
+    random_cyclic_instance,
+    window_class_words,
+)
 
 SQRT6 = math.sqrt(6.0)
 FAMILY_SEED = 20260808
@@ -44,21 +48,9 @@ def _report(number: int, ok: bool, elapsed: float, detail: str) -> None:
     print(f"[criterion {number}] {status} ({elapsed:.2f}s) {detail}")
 
 
-def _random_cyclic_instance(rng, max_letters=4, max_dim=3):
-    while True:
-        size = int(rng.integers(1, max_letters + 1))
-        dim = int(rng.integers(1, max_dim + 1))
-        om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-        if surviving_nodes(om):
-            mats = MatrixSet.from_members(
-                [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
-            )
-            return mats, om
-
-
 def _criterion2_family(count=200):
     rng = np.random.default_rng(FAMILY_SEED)
-    return [_random_cyclic_instance(rng) for _ in range(count)]
+    return [random_cyclic_instance(rng) for _ in range(count)]
 
 
 def test_criterion_1_golden_structural():

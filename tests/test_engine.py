@@ -41,7 +41,7 @@ from markovjsr import (
     spectral_radii,
 )
 from markovjsr import radius
-from tests.conftest import fold_product, random_binary_rows, window_class_words
+from tests.conftest import fold_product, random_binary_rows, random_instance, window_class_words
 
 NUMPY_NORMS = {
     NormKind.ROWSUM: lambda p: np.abs(p).sum(axis=1).max(),
@@ -98,16 +98,6 @@ def check_engine(mats: MatrixSet, om: TransitionMatrix, n_max: int) -> None:
         spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
         rtol=1e-7, atol=1e-12,
     )
-
-
-def random_instance(seed: int, size: int, dim: int, complex_field: bool):
-    rng = np.random.default_rng(seed)
-    om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-    members = rng.standard_normal((size, dim, dim))
-    if complex_field:
-        members = members + 1j * rng.standard_normal((size, dim, dim))
-    field = "complex" if complex_field else "real"
-    return MatrixSet.from_members(list(members), field_tag=field), om
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

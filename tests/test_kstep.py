@@ -19,7 +19,7 @@ from markovjsr import (
     sandwich,
 )
 from markovjsr.instancefile import load_instance
-from tests.conftest import scaled, window_class_words
+from tests.conftest import fold_product, scaled, window_class_words
 
 DATA = Path(__file__).resolve().parent / "data"
 SQRT6 = math.sqrt(6.0)
@@ -160,20 +160,13 @@ def test_window_word_bijection_exhaustive(alphabet, k):
         assert set(mapped) == recoded          # and onto
         # products differ by exactly the k-1 leading factors
         for word, state_word in zip(direct[:8], mapped[:8]):
-            full = _fold(mats.members, word)
-            tail = _fold([rec.matrices.members[i - 1] for i in range(1, len(rec.states) + 1)], state_word)
+            full = fold_product(mats.members, word)
+            tail = fold_product([rec.matrices.members[i - 1] for i in range(1, len(rec.states) + 1)], state_word)
             if k == 1:
                 assert np.allclose(full, tail, atol=1e-12)
             else:
-                prefix = _fold(mats.members, word[: k - 1])
+                prefix = fold_product(mats.members, word[: k - 1])
                 assert np.allclose(full, tail @ prefix, atol=1e-10)
-
-
-def _fold(members, word):
-    out = np.array(members[word[0] - 1])
-    for letter in word[1:]:
-        out = np.array(members[letter - 1]) @ out
-    return out
 
 
 def test_equivalence_check_order_one_identity(scalar_pair):

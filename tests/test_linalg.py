@@ -148,6 +148,42 @@ def test_frobenius_norms_scale_exactly_by_powers_of_two():
     assert block_norm(np.zeros((4, 4)), 2, 2, frobenius) == 0.0
 
 
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_operator_norm_edge_inputs_agree_across_kinds(kind):
+    # an empty stack has no norms, a 0x0 matrix has norm 0, a vector is no matrix
+    assert operator_norm(np.zeros((0, 3, 3)), kind).shape == (0,)
+    assert operator_norm(np.zeros((0, 0)), kind) == 0.0
+    assert np.array_equal(operator_norm(np.zeros((2, 0, 0)), kind), [0.0, 0.0])
+    with pytest.raises(ValidationError, match="shape"):
+        operator_norm(np.array([1.0, -2.0]), kind)
+
+
+def _kernel_values(stack) -> list:
+    values = [spectral_caps(stack), spectral_radii(stack)]
+    for kind in NormKind:
+        values += [operator_norm(stack, kind), block_norm(stack, 3, 2, kind)]
+    return values
+
+
+def test_kernels_give_the_same_bits_on_any_dtype_and_layout():
+    rng = np.random.default_rng(13)
+    ints = rng.integers(-9, 10, (30, 6, 6))
+    ints[::4] = np.triu(ints[::4], 1)  # nilpotent, so the radius is exactly 0
+    wide = rng.standard_normal((30, 6, 6)) + 1j * rng.standard_normal((30, 6, 6))
+    transposed = wide.transpose(0, 2, 1)
+    for stack, double in ((ints, ints.astype(float)), (transposed, transposed.copy())):
+        for got, want in zip(_kernel_values(stack), _kernel_values(double)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # single-precision input is normed in double precision
+    frobenius = NormKind.FROBENIUS
+    for single in (wide.real.astype(np.float32), wide.astype(np.complex64)):
+        double = single.astype(np.result_type(single, np.float64))
+        assert np.array_equal(operator_norm(single, frobenius), operator_norm(double, frobenius))
+        assert np.array_equal(
+            block_norm(single, 3, 2, frobenius), block_norm(double, 3, 2, frobenius)
+        )
+
+
 # --------------------------------------------------------- spectral radius
 
 

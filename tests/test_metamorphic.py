@@ -23,19 +23,9 @@ from markovjsr import (
     recode,
     sandwich,
 )
-from tests.conftest import random_binary_rows, scaled
+from tests.conftest import random_instance, scaled
 
 REL = 1e-12
-
-
-def random_instance(seed: int, size: int, dim: int, complex_field: bool):
-    rng = np.random.default_rng(seed)
-    om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-    members = rng.standard_normal((size, dim, dim))
-    if complex_field:
-        members = members + 1j * rng.standard_normal((size, dim, dim))
-    field = "complex" if complex_field else "real"
-    return MatrixSet.from_members(list(members), field_tag=field), om
 
 
 def assert_points_match(report, other, factor=1.0):

@@ -20,7 +20,6 @@ from markovjsr import (
     lift_set,
     omega_factor,
     sandwich,
-    surviving_nodes,
 )
 from markovjsr import radius
 from markovjsr.instancefile import load_instance
@@ -31,23 +30,12 @@ from tests.conftest import (
     count_sweeps,
     fold_product,
     random_binary_rows,
+    random_cyclic_instance,
     scaled,
 )
 
 GOLDEN_ROWS = [[1, 1], [1, 0]]
 SQRT6 = math.sqrt(6.0)
-
-
-def _random_cyclic_instance(rng, max_letters=4, max_dim=3):
-    while True:
-        size = int(rng.integers(1, max_letters + 1))
-        dim = int(rng.integers(1, max_dim + 1))
-        om = TransitionMatrix.from_rows(random_binary_rows(rng, size))
-        if surviving_nodes(om):
-            mats = MatrixSet.from_members(
-                [rng.uniform(-1, 1, (dim, dim)) for _ in range(size)]
-            )
-            return mats, om
 
 
 def _by_class(row):
@@ -200,7 +188,7 @@ def test_lifted_engines_agree_on_random_instances():
     # sequences they see coincide, so values match tightly
     rng = np.random.default_rng(321)
     for _ in range(15):
-        mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
+        mats, om = random_cyclic_instance(rng, max_letters=3, max_dim=2)
         markov = _markov_values(mats, om, 4)
         periodic = sandwich(mats, om, 4).lower
         for check in full_verification(mats, om, 4).equality_checks:
@@ -265,7 +253,7 @@ def test_lift_equalities_against_independent_brute_force(four_letter_omega):
 def test_lift_equalities_randomized_spot_checks():
     rng = np.random.default_rng(606)
     for _ in range(20):
-        mats, om = _random_cyclic_instance(rng)
+        mats, om = random_cyclic_instance(rng)
         assert all(c.passed for c in full_verification(mats, om, 4).equality_checks)
 
 
@@ -275,7 +263,7 @@ def test_lift_equalities_hold_for_every_norm_kind(kind):
     # single-block-column structure the same way
     rng = np.random.default_rng(913)
     for _ in range(8):
-        mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
+        mats, om = random_cyclic_instance(rng, max_letters=3, max_dim=2)
         for check in full_verification(mats, om, 3, norm=kind).equality_checks:
             assert check.passed, (kind, check.n, check)
 
@@ -390,7 +378,7 @@ def test_sandwich_upper_classes_that_split_are_sound():
     sound = (WordClass.CHAIN, WordClass.MARKOV, WordClass.INFINITELY_EXTENDABLE)
     trials = 0
     while trials < 30:
-        mats, om = _random_cyclic_instance(rng)
+        mats, om = random_cyclic_instance(rng)
         trials += 1
         for cls in sound:
             report = sandwich(mats, om, 5, upper_class=cls)
@@ -429,7 +417,7 @@ def test_sandwich_aggregates_are_monotone(golden_mean_scalars, golden_mean_omega
 
 def test_sandwich_scale_equivariance():
     rng = np.random.default_rng(51)
-    mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
+    mats, om = random_cyclic_instance(rng, max_letters=3, max_dim=2)
     factor = -1.7
     base = sandwich(mats, om, 5)
     report = sandwich(scaled(mats, factor), om, 5)
@@ -596,7 +584,7 @@ def test_fixed_length_bounds_are_continuous_in_the_family():
     # perturbation size (checked across two scales)
     rng = np.random.default_rng(31415)
     for _ in range(6):
-        mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=3)
+        mats, om = random_cyclic_instance(rng, max_letters=3, max_dim=3)
         deltas = [rng.uniform(-1, 1, mats.members[0].shape) for _ in range(mats.size)]
 
         def perturbed(eps):
@@ -631,7 +619,7 @@ def test_fixed_length_bounds_are_continuous_in_the_family():
 def test_fekete_power_submultiplicativity():
     rng = np.random.default_rng(2468)
     for _ in range(10):
-        mats, om = _random_cyclic_instance(rng, max_letters=3, max_dim=2)
+        mats, om = random_cyclic_instance(rng, max_letters=3, max_dim=2)
         values = _markov_values(mats, om, 7)
         for m in range(1, 7):
             for n in range(1, 8 - m):
