@@ -1,4 +1,4 @@
-from markovjsr.cli import main
+from markovjsr.cli import run
 
 if __name__ == "__main__":
-    main()
+    run()

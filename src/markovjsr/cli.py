@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import sys
 
 import click
@@ -135,6 +136,17 @@ def _cross_rows(cross_bounds) -> list[dict]:
 @click.version_option(version=__version__, prog_name="markovjsr")
 def main():
     """Growth-rate bounds for matrix products under transition constraints."""
+
+
+def run() -> None:
+    """The console entry point: ``main``, then ``gc.freeze()``, so that the
+    interpreter's final collection at exit does not traverse the heap that
+    numpy and the package built; the process ends anyway.  The exit code
+    and the flushed output are those of ``main``."""
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 # ---------------------------------------------------------------- bounds
@@ -441,4 +453,4 @@ def cmd_kstep_recode(instance):
 
 
 if __name__ == "__main__":
-    main()
+    run()

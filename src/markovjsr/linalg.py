@@ -92,13 +92,13 @@ def block_norm(
         a, exponent = _scaled(a)
     quads = a.reshape(*a.shape[:-2], blocks, block_dim, blocks, block_dim)
     if inner is NormKind.ROWSUM:
-        per_block = quads.sum(axis=-1).max(axis=-2)
+        per_block = quads.sum(axis=-1).max(axis=-2, initial=0.0)
     elif inner is NormKind.COLSUM:
-        per_block = quads.sum(axis=-3).max(axis=-1)
+        per_block = quads.sum(axis=-3).max(axis=-1, initial=0.0)
     else:
         per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
         per_block = _unscaled(per_block, exponent[..., None, None])
-    out = per_block.sum(axis=-1).max(axis=-1)
+    out = per_block.sum(axis=-1).max(axis=-1, initial=0.0)
     return float(out) if a.ndim == 2 else out
 
 

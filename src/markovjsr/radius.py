@@ -15,14 +15,18 @@ words of an automaton (the state of a word is its last letter, or its
 last k letters under an order-k rule) depth-first over chunks: a chunk's
 children are one ``np.matmul(A[letter], P[parent])``, parent-major with
 letters ascending, and join a queue of words waiting at their length.
+When every parent takes every letter (a complete alphabet, as in the
+lift oracle), that matmul is the broadcast ``np.matmul(A, P[:, None])``,
+bitwise the same products in the same order, with no gathered copies.
 A chunk is yielded as soon as a queue holds a full one (about
-``_CHUNK_BYTES`` of products), deepest length first, and each length's
-remainder once every shorter length is done; so each length comes out in
-lexicographic order, in full chunks.  A keep mask per chunk may stop the
-walk below some words: the dense lift oracle extends no word whose
-lifted product is exactly zero, as no extension of it can raise a
-supremum.  A word carries no letters, only its base-L numeral (L
-letters): int64 while L**n fits, Python integers beyond.  ``_sweep``
+``_CHUNK_BYTES`` of products, at least ``_MIN_CHUNK_ROWS`` words),
+deepest length first, and each length's remainder once every shorter
+length is done; so each length comes out in lexicographic order, in full
+chunks.  A keep mask per chunk may stop the walk below some words: the
+dense lift oracle extends no word whose lifted product is exactly zero,
+as no extension of it can raise a supremum.  A word carries no letters,
+only its base-L numeral (L letters): int64 while L**n fits, Python
+integers beyond.  ``_sweep``
 takes from that single pass the counts and norm suprema of every length
 and class (each word adds to its level, its strictest class, one number
 from its first and last state; the nested classes gather the stricter
@@ -87,7 +91,7 @@ __all__ = [
 # _MIN_CHUNK_ROWS: every numpy call has a fixed cost.  The spectral kernel
 # gets _KERNEL_CHUNKS chunks' worth of products per call.
 _CHUNK_BYTES = 1 << 15
-_MIN_CHUNK_ROWS = 32
+_MIN_CHUNK_ROWS = 48
 _KERNEL_CHUNKS = 8
 
 # Relative tolerances of the lift equality checks.  Each spectral column
@@ -197,17 +201,27 @@ def _children(automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk) 
         dtype = _code_dtype(letters, chunk.n + 1)
         codes = chunk.codes[parent].astype(dtype, copy=False) * letters
         codes += letter.astype(dtype, copy=False)
+    if members is None:
+        products = None
+    elif len(letter) == len(members) * len(chunk):
+        # every parent takes every letter: one broadcast product, in the
+        # order of np.nonzero, and no gathered copy of members or parents
+        products = np.matmul(members, chunk.products[:, None]).reshape(-1, *members.shape[1:])
+    else:
+        products = np.matmul(members[letter], chunk.products[parent])
     return _Chunk(
         n=chunk.n + 1,
         first=state if chunk.n < automaton.head.shape[1] else chunk.first[parent],
         state=state,
-        products=None if members is None else np.matmul(members[letter], chunk.products[parent]),
+        products=products,
         codes=codes,
     )
 
 
 def _chunk_rows(row_bytes: int) -> int:
-    return max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // row_bytes)
+    """Words per chunk; the floor alone sizes a chunk of no bytes (words
+    walked without products or codes)."""
+    return max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // row_bytes if row_bytes else 0)
 
 
 def _expand(

@@ -1,19 +1,27 @@
+import importlib
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from markovjsr import __version__
+from markovjsr import cli
 from markovjsr.cli import main
 from markovjsr.instancefile import parse_instance
 from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, count_sweeps, write_instance
 
 SQRT6 = math.sqrt(6.0)
 DATA = Path(__file__).resolve().parent / "data"
+ROOT = DATA.parent.parent
 
 # Complex 2 x 2 members, so the lift's text rendering shows [re,im] pairs
 # in blocks wider than one entry.
@@ -901,3 +909,54 @@ def test_help_prints_the_docstring(runner, command, first_line):
     if command:
         assert result.output.startswith(f"Usage: main {command} [OPTIONS] INSTANCE\n")
         assert "--format [text|json]" in result.output
+
+
+# ------------------------------------------------------- console entry point
+
+
+def run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m markovjsr`` in a fresh interpreter, from tests/data."""
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, "-m", "markovjsr", *args], cwd=DATA, capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, check=False,
+    )
+
+
+def test_module_run_prints_the_golden_bytes():
+    result = run_module("bounds", "dense-spectral.json", "--n-max", "6", "--format", "json")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == (DATA / "golden" / "dense-bounds.json").read_bytes()
+
+
+def test_module_run_keeps_the_exit_codes(tmp_path):
+    claimed = write_instance(tmp_path, {**GOLDEN_MEAN_DOC, "omega": [[1, 1], [1, 1]]})
+    failed = run_module("verify", "sparse-chain.json", "--n-max", "2", "--claimed-lift", str(claimed))
+    assert failed.returncode == 1
+    assert b"claimed lift matches: NO" in failed.stdout
+    unparsed = run_module("bounds", str(tmp_path / "nope.json"))
+    assert unparsed.returncode == 2
+    assert unparsed.stderr.startswith(b"error: ")
+    invalid = run_module("kstep-recode", "sparse-chain.json")
+    assert invalid.returncode == 3
+    assert invalid.stdout == b""
+
+
+@pytest.mark.parametrize("args, code", [(["--version"], 0), (["bounds", str(DATA / "nope.json")], 2)])
+def test_run_freezes_the_heap_once_after_main(monkeypatch, capsys, args, code):
+    monkeypatch.setattr(sys, "argv", ["markovjsr", *args])
+    with mock.patch("gc.freeze") as freeze, pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == code
+    freeze.assert_called_once_with()
+    assert capsys.readouterr().out == ("" if code else f"markovjsr, version {__version__}\n")
+
+
+def test_console_script_resolves_to_a_callable():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", text, re.MULTILINE)
+    entries = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts.group(1), re.MULTILINE)
+    assert [name for name, _, _ in entries] == ["markovjsr"]
+    for _, module, attr in entries:
+        assert callable(getattr(importlib.import_module(module), attr))

@@ -182,6 +182,58 @@ def test_engine_yields_full_chunks_per_length(rows, omega_rows):
         assert yielded[n] == formed[n]
 
 
+@pytest.mark.parametrize("rows", [None, 1, 2])
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 5, 16])
+@pytest.mark.parametrize(
+    "omega_rows",
+    [
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: every parent takes every letter
+        [[1, 1, 1], [1, 0, 1], [1, 1, 1]],  # 1 and 3 take every letter, 2 does not
+        [[1, 1, 0], [1, 0, 0], [0, 1, 0]],  # letter 3 is dead: nothing may follow it
+    ],
+)
+def test_children_are_bitwise_the_per_pair_products(omega_rows, dim, complex_field, rows):
+    # complete chunks, incomplete ones, and chunks that mix both kinds of state
+    om = TransitionMatrix.from_rows(omega_rows)
+    automaton = radius._Automaton.from_omega(om)
+    rng = np.random.default_rng(dim)
+    members = rng.standard_normal((om.size, dim, dim))
+    if complex_field:
+        members = members + 1j * rng.standard_normal(members.shape)
+    with tiny_chunks(rows) if rows else contextlib.nullcontext():
+        chunks = list(radius._expand(automaton, members, 4, codes=True))
+    products = {}
+    for chunk in chunks:
+        for code, product in zip(chunk.codes.tolist(), chunk.products):
+            if chunk.n > 1:
+                parent = products[chunk.n - 1, code // om.size]
+                assert product.tobytes() == (members[code % om.size] @ parent).tobytes()
+            products[chunk.n, code] = product
+    assert max(n for n, _ in products) == 4
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+def test_expand_walks_words_without_products_or_codes(rows):
+    om = TransitionMatrix.from_rows([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    automaton = radius._Automaton.from_omega(om)
+    n_max = 7
+    with tiny_chunks(rows) if rows else contextlib.nullcontext():
+        chunks = list(radius._expand(automaton, None, n_max))
+        floor = radius._MIN_CHUNK_ROWS
+    assert all(c.products is None and c.codes is None for c in chunks)
+    for n in range(1, n_max + 1):
+        at_n = [c for c in chunks if c.n == n]
+        # a chunk of no bytes holds as many words as the floor
+        assert all(len(c) == floor for c in at_n[:-1])
+        assert 0 < len(at_n[-1]) <= floor
+        chain = sum(
+            bool(classify([letter + 1 for letter in word], om))
+            for word in itertools.product(range(om.size), repeat=n)
+        )
+        assert sum(map(len, at_n)) == chain
+
+
 def test_engine_depth_is_not_bounded_by_recursion_limit():
     mats = MatrixSet.from_members([np.array([[0.9]])])
     n = 3 * sys.getrecursionlimit()

@@ -158,6 +158,15 @@ def test_operator_norm_edge_inputs_agree_across_kinds(kind):
         operator_norm(np.array([1.0, -2.0]), kind)
 
 
+@pytest.mark.parametrize("kind", list(NormKind))
+@pytest.mark.parametrize("blocks, block_dim", [(0, 3), (2, 0), (0, 0)])
+def test_block_norm_of_an_empty_matrix_is_zero(kind, blocks, block_dim):
+    # no blocks, or blocks of dimension 0: the norm of the 0x0 matrix, as in operator_norm
+    assert block_norm(np.zeros((0, 0)), blocks, block_dim, kind) == 0.0
+    assert np.array_equal(block_norm(np.zeros((2, 0, 0)), blocks, block_dim, kind), [0.0, 0.0])
+    assert block_norm(np.zeros((0, 0, 0)), blocks, block_dim, kind).shape == (0,)
+
+
 def _kernel_values(stack) -> list:
     values = [spectral_caps(stack), spectral_radii(stack)]
     for kind in NormKind:
