@@ -3,7 +3,10 @@
 Every norm offered here is sub-multiplicative, so each one is a legal
 choice for the norm-based growth bounds; ROWSUM is the default throughout
 the package because it is cheap, exact on integer data, and invariant
-under the block structure produced by transition lifts.
+under the block structure produced by transition lifts.  One routine,
+``block_norm``, computes them all: the norm of an N x N grid of blocks
+is the largest block row's sum of block norms, and ``operator_norm`` is
+its case of one block.
 
 Spectral radii come from LAPACK's eigenvalues, except that a matrix whose
 square is exactly zero gets the exact radius 0.  ``spectral_caps`` and
@@ -50,22 +53,12 @@ def operator_norm(m: np.ndarray, kind: NormKind = NormKind.ROWSUM) -> float | np
 
     A single matrix gives a float; a stack of shape (..., d, d) gives an
     array with one norm per matrix, each computed exactly as for a single
-    matrix, in double precision whatever the dtype.  FROBENIUS squares the entries of each matrix after the exact
-    scaling of ``_scaled``, so that it neither underflows nor overflows
-    where the norm itself is representable.
+    matrix.  This is ``block_norm`` with one block of dimension d.
     """
-    a = np.abs(_double(m))
-    if a.ndim < 2:
-        raise ValidationError(f"expected a matrix or a stack of them, got shape {np.shape(m)}")
-    if kind is NormKind.ROWSUM:
-        out = a.sum(axis=-1).max(axis=-1, initial=0.0)
-    elif kind is NormKind.COLSUM:
-        out = a.sum(axis=-2).max(axis=-1, initial=0.0)
-    else:
-        a, exponent = _scaled(a)
-        squares = (a * a).reshape(*a.shape[:-2], a.shape[-1] ** 2)
-        out = _unscaled(np.sqrt(squares.sum(axis=-1)), exponent)
-    return float(out) if a.ndim == 2 else out
+    shape = np.shape(m)
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {shape}")
+    return block_norm(m, 1, shape[-1], kind)
 
 
 def block_norm(
@@ -78,8 +71,11 @@ def block_norm(
 
     For an (N*d) x (N*d) matrix viewed as N x N blocks of size d, this is
     max_i sum_j ||m_ij||; it is sub-multiplicative whenever the inner norm
-    is, by the triangle inequality applied blockwise.  Like operator_norm,
-    a stack of matrices gives an array of norms.
+    is, by the triangle inequality applied blockwise.  A stack of matrices
+    gives an array of norms, in double precision whatever the dtype.
+    FROBENIUS squares the entries of each matrix after the exact scaling of
+    ``_scaled``, so that it neither underflows nor overflows where the norm
+    itself is representable.
     """
     a = np.abs(_double(m))
     n = blocks * block_dim
@@ -88,7 +84,7 @@ def block_norm(
             f"matrix of shape {np.shape(m)} does not split into {blocks}x{blocks} "
             f"blocks of dimension {block_dim}"
         )
-    if inner is NormKind.FROBENIUS:  # scaled as in operator_norm, one exponent per matrix
+    if inner is NormKind.FROBENIUS:  # one exponent per matrix
         a, exponent = _scaled(a)
     quads = a.reshape(*a.shape[:-2], blocks, block_dim, blocks, block_dim)
     if inner is NormKind.ROWSUM:

@@ -251,8 +251,6 @@ def _expand(
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
     state = automaton.starts[letters]
-    if not len(state):
-        return
     root = _Chunk(
         1, state, state,
         None if members is None else members[letters],
@@ -548,8 +546,8 @@ class SandwichReport:
     spectral bounds, entry n-1 for length n.  best_upper is the running
     minimum of the upper values (their n-th powers are sub-multiplicative
     in n, so the infimum equals the limit); best_lower is the running
-    maximum of the lower ones.  alpha is the largest member norm, used by
-    the cross bounds.
+    maximum of the lower ones.  alpha, used by the cross bounds, is the
+    length-1 chain supremum: the largest member norm.
     """
 
     upper: tuple[BoundSequencePoint, ...]
@@ -596,23 +594,21 @@ def sandwich(
             "class-chain view instead"
         )
     sweep = _constrained_sweep(matrices, omega, n_max, norm, spectral=range(1, n_max + 1))
-    return _sandwich_report(sweep, matrices, n_max, norm, upper_class)
+    return _sandwich_report(sweep, upper_class)
 
 
-def _sandwich_report(
-    sweep: _Sweep, matrices: MatrixSet, n_max: int, norm: NormKind, upper_class: WordClass
-) -> SandwichReport:
-    lengths = range(1, n_max + 1)
+def _sandwich_report(sweep: _Sweep, upper_class: WordClass) -> SandwichReport:
+    lengths = range(1, len(sweep.counts))
     upper = tuple(sweep.point(n, upper_class) for n in lengths)
     lower = tuple(sweep.point(n, WordClass.PERIODICALLY_EXTENDABLE, spectral=True) for n in lengths)
-    alpha = max(operator_norm(m, norm) for m in matrices.members)
+    alpha = sweep.point(1, WordClass.CHAIN).value  # every letter is a chain word
     cross = tuple(
         CrossBound(
             n=n,
             chain_value=sweep.point(n, WordClass.CHAIN).value,
             cap=alpha ** (1.0 / n) * sweep.point(n - 1, WordClass.MARKOV).value ** ((n - 1.0) / n),
         )
-        for n in range(2, n_max + 1)
+        for n in lengths[1:]
     )
     upper_vals = [p.value for p in upper]
     lower_vals = [p.value for p in lower]
@@ -764,7 +760,7 @@ def full_verification(
     lengths = range(1, n_max + 1)
     constrained = _constrained_sweep(matrices, omega, n_max, norm, spectral=lengths)
     lifted = _lifted_sweep(matrices, omega, n_max, norm, spectral=lengths)
-    report = _sandwich_report(constrained, matrices, n_max, norm, WordClass.MARKOV)
+    report = _sandwich_report(constrained, WordClass.MARKOV)
     return VerificationReport(
         equality_checks=tuple(
             _equality_check(n, constrained, lifted) for n in lengths

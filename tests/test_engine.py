@@ -234,6 +234,23 @@ def test_expand_walks_words_without_products_or_codes(rows):
         assert sum(map(len, at_n)) == chain
 
 
+def test_automaton_without_a_start_letter_has_no_words():
+    # every state steps somewhere, but no letter may start a word
+    automaton = radius._Automaton(
+        np.array([-1, -1]), np.array([[0, 1], [0, 1]]), np.arange(2)[:, None]
+    )
+    stack = np.stack([np.eye(2), 2 * np.eye(2)])
+    n_max = 4
+    assert sum(map(len, radius._expand(automaton, stack, n_max, codes=True))) == 0
+    assert list(radius._class_words(automaton, 2, WordClass.CHAIN)) == []
+    sweep = radius._sweep(
+        automaton, stack, n_max, partial(operator_norm, kind=NormKind.ROWSUM),
+        spectral=range(1, n_max + 1),
+    )
+    assert not sweep.counts.any()
+    assert not sweep.norm_sup.any() and not sweep.spectral_sup.any()
+
+
 def test_engine_depth_is_not_bounded_by_recursion_limit():
     mats = MatrixSet.from_members([np.array([[0.9]])])
     n = 3 * sys.getrecursionlimit()

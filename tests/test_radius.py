@@ -318,6 +318,22 @@ def test_sandwich_golden_mean(golden_mean_scalars, golden_mean_omega):
     assert all(c.ok for c in report.cross_bounds)
 
 
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_sandwich_alpha_counts_a_dead_letter(kind):
+    # nothing may follow letter 1, the member of largest norm: alpha is
+    # still its norm (a chain word of length 1), not the admissible 2, and
+    # the n = 2 cross bound is tight, sqrt(5 * 2) against sqrt(10)
+    mats = MatrixSet.from_members([np.array([[5.0]]), np.array([[2.0]])])
+    om = TransitionMatrix.from_rows([[0, 1], [0, 1]])
+    report = sandwich(mats, om, 4, norm=kind)
+    assert report.alpha == 5.0
+    cross = report.cross_bounds[0]
+    assert cross.n == 2 and cross.ok
+    assert cross.chain_value == pytest.approx(math.sqrt(10.0), rel=1e-15)
+    assert cross.cap == pytest.approx(math.sqrt(10.0), rel=1e-15)
+    assert all(c.ok for c in full_verification(mats, om, 4, kind).cross_bounds)
+
+
 def test_sandwich_pair_with_known_lower_bound():
     a1 = np.array([[1.0, 1.0], [0.0, 1.0]])
     a2 = np.array([[1.0, 0.0], [1.0, 1.0]])
