@@ -16,7 +16,6 @@ constructors.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +24,15 @@ import numpy as np
 
 from markovjsr.core import MatrixSet, TransitionMatrix, validate_instance
 from markovjsr.kstep import KStepConstraint
+
+# CPython's built-in SHA-256; hashlib's would load OpenSSL's libcrypto
+try:  # Python 3.12+
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # Python 3.10 and 3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "InstanceParseError",
@@ -223,5 +231,12 @@ def render_document(doc: dict) -> str:
 
 
 def document_digest(doc: dict) -> str:
+    """SHA-256 hex digest of ``doc``'s canonical JSON (sorted keys, no spaces).
+
+    The hash is CPython's built-in SHA-256, which gives the same digest as
+    ``hashlib.sha256`` without loading OpenSSL: that library would add
+    about 3.5 MB to the peak memory of every process that reads an
+    instance, for one digest of at most a few tens of kilobytes.
+    """
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -12,11 +13,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovjsr import __version__
+from markovjsr import KStepConstraint, MatrixSet, TransitionMatrix, __version__
 from markovjsr import cli
 from markovjsr.cli import main
-from markovjsr.instancefile import parse_instance
+from markovjsr.instancefile import document_digest, instance_document, parse_instance
 from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, count_sweeps, write_instance
 
 SQRT6 = math.sqrt(6.0)
@@ -914,13 +917,18 @@ def test_help_prints_the_docstring(runner, command, first_line):
 # ------------------------------------------------------- console entry point
 
 
-def run_module(*args) -> subprocess.CompletedProcess:
-    """``python -m markovjsr`` in a fresh interpreter, from tests/data."""
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout, run from tests/data."""
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
-        [sys.executable, "-m", "markovjsr", *args], cwd=DATA, capture_output=True,
+        [sys.executable, *args], cwd=DATA, capture_output=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, check=False,
     )
+
+
+def run_module(*args) -> subprocess.CompletedProcess:
+    """``python -m markovjsr`` in a fresh interpreter, from tests/data."""
+    return run_python("-m", "markovjsr", *args)
 
 
 def test_module_run_prints_the_golden_bytes():
@@ -960,3 +968,82 @@ def test_console_script_resolves_to_a_callable():
     assert [name for name, _, _ in entries] == ["markovjsr"]
     for _, module, attr in entries:
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+# --------------------------------------------------------- instance digest
+
+
+def golden_digest(name: str) -> str:
+    return json.loads((DATA / "golden" / name).read_text(encoding="utf-8"))["instance_digest"]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        pytest.param(
+            "import runpy\n"
+            "sys.argv = ['markovjsr', 'bounds', 'kstep-order2.json', '--n-max', '3', '--format', 'json']\n"
+            "try:\n"
+            "    runpy.run_module('markovjsr', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n",
+            id="cli",
+        ),
+        pytest.param(
+            "import markovjsr\n"
+            "from markovjsr.instancefile import load_instance\n"
+            "print(load_instance('kstep-order2.json').digest)\n",
+            id="library",
+        ),
+    ],
+)
+def test_reading_an_instance_loads_no_openssl(script):
+    # importing hashlib loads OpenSSL's libcrypto, about 3.5 MB of a run's
+    # peak memory
+    result = run_python("-c", f"import sys\n{script}assert '_hashlib' not in sys.modules\n")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
+    assert golden_digest("kstep-bounds.json").encode() in result.stdout
+
+
+_ENTRIES = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@st.composite
+def instance_documents(draw):
+    size, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    field = draw(st.sampled_from(["real", "complex"]))
+    shape = st.lists(_ENTRIES, min_size=dim * dim, max_size=dim * dim)
+    members = [np.reshape(draw(shape), (dim, dim)) for _ in range(size)]
+    if field == "complex":
+        members = [m + 1j * np.reshape(draw(shape), (dim, dim)) for m in members]
+    matrices = MatrixSet.from_members(members, field_tag=field)
+    omega = kstep = None
+    if draw(st.booleans()):
+        row = st.lists(st.integers(0, 1), min_size=size, max_size=size)
+        omega = TransitionMatrix.from_rows(draw(st.lists(row, min_size=size, max_size=size)))
+    else:
+        k = draw(st.integers(1, 3))
+        window = st.tuples(*[st.integers(1, size)] * (k + 1))
+        kstep = KStepConstraint(size, k, frozenset(draw(st.sets(window, min_size=1, max_size=12))))
+    return instance_document(matrices, omega=omega, kstep=kstep, rounded=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_documents())
+def test_document_digest_is_hashlib_sha256(doc):
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert document_digest(doc) == hashlib.sha256(canonical).hexdigest()
+
+
+def test_digest_without_the_builtin_hashes_falls_back_to_hashlib():
+    result = run_python(
+        "-c",
+        "import hashlib, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from markovjsr import instancefile\n"
+        "assert instancefile._sha256 is hashlib.sha256\n"
+        "print(instancefile.load_instance('sparse-chain.json').digest)\n",
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode() == golden_digest("sparse-bounds.json") + "\n"
