@@ -236,7 +236,8 @@ def document_digest(doc: dict) -> str:
     The hash is CPython's built-in SHA-256, which gives the same digest as
     ``hashlib.sha256`` without loading OpenSSL: that library would add
     about 3.5 MB to the peak memory of every process that reads an
-    instance, for one digest of at most a few tens of kilobytes.
+    instance, for one digest of at most a few tens of kilobytes (numpy
+    1.x loads it at import anyway, through ``numpy.random``).
     """
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return _sha256(canonical.encode("utf-8")).hexdigest()
