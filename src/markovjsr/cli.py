@@ -6,12 +6,11 @@ Exit codes are part of the contract: 0 success, 1 verification failure,
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
-import functools
 import gc
 import sys
 
-import click
 import numpy as np
 
 from markovjsr import __version__
@@ -43,11 +42,25 @@ from markovjsr.words import count_words, enumerate_words
 
 DEFAULT_BUDGET = 10_000_000
 
-_NORM_CHOICES = click.Choice([k.value for k in NormKind])
-_CLASS_CHOICES = click.Choice([c.value for c in WordClass])
-_FORMAT_CHOICES = click.Choice(["text", "json"])
-_BUDGET_OPTION = click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int,
-                              help="Cap on estimated product operations.")
+
+def _option(*flags: str, **settings) -> tuple:
+    """The arguments of one ``ArgumentParser.add_argument`` call."""
+    return flags, settings
+
+
+def _format_option(default: str) -> tuple:
+    return _option("--format", dest="fmt", default=default, choices=("text", "json"),
+                   help="Output format (default: %(default)s).")
+
+
+_CLASS_CHOICES = [c.value for c in WordClass]
+_NORM_OPTION = _option("--norm", default="rowsum", choices=[k.value for k in NormKind],
+                       help="Matrix norm (default: %(default)s).")
+_BUDGET_OPTION = _option("--budget", default=DEFAULT_BUDGET, type=int,
+                         help="Cap on estimated product operations (default: %(default)s).")
+
+# subcommand name -> (body, options), in the order of the --help listing
+_COMMANDS: dict[str, tuple] = {}
 
 
 class BudgetExceeded(RuntimeError):
@@ -55,35 +68,42 @@ class BudgetExceeded(RuntimeError):
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _command(body):
-    """Run ``body(instance, **options)``, which returns the JSON document
-    and its text lines (a generator, so only the chosen format is
-    rendered), on the loaded INSTANCE.  Errors map to the exit codes 2, 3
-    and 4; a document holding ``"passed": false`` exits 1."""
+def _command(name: str, *options: tuple):
+    """Register ``body(instance, **options)`` as the subcommand ``name``,
+    which takes an INSTANCE file and ``options`` (``_option`` tuples).
+    ``body`` returns the JSON document and its text lines (a generator,
+    so only the chosen format is rendered)."""
 
-    @functools.wraps(body)
-    def run(instance_path, fmt, **options):
-        try:
-            document, text_lines = body(load_instance(instance_path), **options)
-            if fmt == "json":
-                click.echo(render_document(document), nl=False)
-            else:
-                for line in text_lines:
-                    click.echo(line)
-            if document.get("passed") is False:
-                sys.exit(1)
-        except InstanceParseError as exc:
-            _fail(2, str(exc))
-        except ValidationError as exc:
-            _fail(3, str(exc))
-        except BudgetExceeded as exc:
-            _fail(4, str(exc))
+    def register(body):
+        _COMMANDS[name] = body, options
+        return body
 
-    return run
+    return register
+
+
+def _run(body, instance_path: str, fmt: str, **options) -> None:
+    """Run ``body`` on the loaded INSTANCE and print the chosen format.
+    Errors map to the exit codes 2, 3 and 4; a document holding
+    ``"passed": false`` exits 1."""
+    try:
+        document, text_lines = body(load_instance(instance_path), **options)
+        if fmt == "json":
+            sys.stdout.write(render_document(document))
+        else:
+            for line in text_lines:
+                print(line)
+        if document.get("passed") is False:
+            sys.exit(1)
+    except InstanceParseError as exc:
+        _fail(2, str(exc))
+    except ValidationError as exc:
+        _fail(3, str(exc))
+    except BudgetExceeded as exc:
+        _fail(4, str(exc))
 
 
 def _resolve(instance: Instance) -> tuple[MatrixSet, TransitionMatrix, RecodedInstance | None]:
@@ -132,10 +152,44 @@ def _cross_rows(cross_bounds) -> list[dict]:
     ]
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="markovjsr")
-def main():
+def _about(body) -> str:
+    """A docstring without the indentation of its later lines."""
+    return "\n".join(line.strip() for line in body.__doc__.strip().splitlines())
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line.  Option names are never abbreviated, and only
+    ``--help`` asks for help, as ``-h`` was never an option."""
+    settings = dict(allow_abbrev=False, add_help=False,
+                    formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog=prog, description=_about(main), **settings)
+    parser.add_argument("--version", action="version", version=f"markovjsr, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (body, options) in _COMMANDS.items():
+        about = _about(body)
+        command = commands.add_parser(name, help=about.splitlines()[0], description=about, **settings)
+        command.add_argument("--help", action="help", help="Show this message and exit.")
+        command.add_argument("instance_path", metavar="INSTANCE", help="Instance file (JSON).")
+        for flags, option in options:
+            command.add_argument(*flags, **option)
+        command.set_defaults(body=body, command=command)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "markovjsr") -> None:
     """Growth-rate bounds for matrix products under transition constraints."""
+    options, unknown = _parser(prog_name).parse_known_args(args)
+    options = vars(options)
+    command = options.pop("command")
+    if unknown:  # under the usage of the command, not that of the program
+        command.error(f"unrecognized arguments: {' '.join(unknown)}")
+    _run(**options)
+
+
+# perfbench/tracer.py runs the command line as main.main(args=..., prog_name=...)
+main.main = main
 
 
 def run() -> None:
@@ -180,16 +234,17 @@ def _bounds_text(report: dict):
     yield f"cross_bounds: {'ok' if ok else 'VIOLATED'}"
 
 
-@main.command("bounds")
-@click.argument("instance_path", metavar="INSTANCE")
-@click.option("--n-max", default=8, show_default=True, type=int, help="Largest word length.")
-@click.option("--norm", default="rowsum", show_default=True, type=_NORM_CHOICES)
-@click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES,
-              help="Word class for the upper norm bounds.")
-@click.option("--class-chain", is_flag=True, help="Tabulate all four class bounds per length instead.")
-@_BUDGET_OPTION
-@click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-@_command
+@_command(
+    "bounds",
+    _option("--n-max", default=8, type=int, help="Largest word length (default: %(default)s)."),
+    _NORM_OPTION,
+    _option("--class", dest="word_class", default="markov", choices=_CLASS_CHOICES,
+            help="Word class for the upper norm bounds (default: %(default)s)."),
+    _option("--class-chain", action="store_true",
+            help="Tabulate all four class bounds per length instead."),
+    _BUDGET_OPTION,
+    _format_option("text"),
+)
 def cmd_bounds(instance, n_max, norm, word_class, class_chain, budget):
     """Sandwich bounds (or per-class tables) for an instance file."""
     matrices, omega, rec = _resolve(instance)
@@ -259,10 +314,7 @@ def _lift_text(report: dict):
             )
 
 
-@main.command("lift")
-@click.argument("instance_path", metavar="INSTANCE")
-@click.option("--format", "fmt", default="json", show_default=True, type=_FORMAT_CHOICES)
-@_command
+@_command("lift", _format_option("json"))
 def cmd_lift(instance):
     """Emit the transition lift as a classical (all-transitions) instance.
 
@@ -334,15 +386,15 @@ def _claimed_lift_matches(instance: Instance, claimed_path: str) -> bool:
     )
 
 
-@main.command("verify")
-@click.argument("instance_path", metavar="INSTANCE")
-@click.option("--n-max", default=4, show_default=True, type=int)
-@click.option("--norm", default="rowsum", show_default=True, type=_NORM_CHOICES)
-@_BUDGET_OPTION
-@click.option("--claimed-lift", default=None, type=str,
-              help="Instance file claimed to be the lift of INSTANCE; compared entrywise.")
-@click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-@_command
+@_command(
+    "verify",
+    _option("--n-max", default=4, type=int, help="Largest word length (default: %(default)s)."),
+    _NORM_OPTION,
+    _BUDGET_OPTION,
+    _option("--claimed-lift", default=None,
+            help="Instance file claimed to be the lift of INSTANCE; compared entrywise."),
+    _format_option("text"),
+)
 def cmd_verify(instance, n_max, norm, budget, claimed_lift):
     """Check the lift equalities and structural facts on an instance."""
     matrices, omega, rec = _resolve(instance)
@@ -392,13 +444,14 @@ def _words_text(report: dict):
     yield f"count: {report['stream_count']} (transfer-matrix: {report['transfer_count']}, {agree})"
 
 
-@main.command("words")
-@click.argument("instance_path", metavar="INSTANCE")
-@click.option("--n", default=4, show_default=True, type=int, help="Word length.")
-@click.option("--class", "word_class", default="markov", show_default=True, type=_CLASS_CHOICES)
-@_BUDGET_OPTION
-@click.option("--format", "fmt", default="text", show_default=True, type=_FORMAT_CHOICES)
-@_command
+@_command(
+    "words",
+    _option("--n", default=4, type=int, help="Word length (default: %(default)s)."),
+    _option("--class", dest="word_class", default="markov", choices=_CLASS_CHOICES,
+            help="Word class (default: %(default)s)."),
+    _BUDGET_OPTION,
+    _format_option("text"),
+)
 def cmd_words(instance, n, word_class, budget):
     """Enumerate the length-n words of a class, with a count cross-check."""
     _, omega, rec = _resolve(instance)
@@ -435,10 +488,7 @@ def _recode_text(report: dict):
         yield "  " + " ".join(str(v) for v in row)
 
 
-@main.command("kstep-recode")
-@click.argument("instance_path", metavar="INSTANCE")
-@click.option("--format", "fmt", default="json", show_default=True, type=_FORMAT_CHOICES)
-@_command
+@_command("kstep-recode", _format_option("json"))
 def cmd_kstep_recode(instance):
     """Recode an order-k instance into an explicit one-step instance file."""
     if instance.kstep is None:

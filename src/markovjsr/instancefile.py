@@ -107,6 +107,8 @@ def parse_instance(text: str) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise InstanceParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise InstanceParseError("top level must be a JSON object")
     for key in ("dimension", "field", "matrices"):
@@ -177,7 +179,7 @@ def load_instance(path) -> Instance:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceParseError(f"cannot read instance file {path}: {exc}") from exc
     return parse_instance(text)
 

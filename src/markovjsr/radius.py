@@ -13,7 +13,7 @@ products vanish" stay distinguishable.
 Every supremum comes from one product engine.  ``_expand`` walks the
 words of an automaton (the state of a word is its last letter, or its
 last k letters under an order-k rule) depth-first over chunks: a chunk's
-children are one ``np.matmul(A[letter], P[parent])``, parent-major with
+children are ``np.matmul(A[letter], P[parent])``, parent-major with
 letters ascending, and join a queue of words waiting at their length.
 When every parent takes every letter (a complete alphabet, as in the
 lift oracle), that matmul is the broadcast ``np.matmul(A, P[:, None])``,
@@ -22,16 +22,18 @@ A chunk is yielded as soon as a queue holds a full one (about
 ``_CHUNK_BYTES`` of products, at least ``_MIN_CHUNK_ROWS`` words),
 deepest length first, and each length's remainder once every shorter
 length is done; so each length comes out in lexicographic order, in full
-chunks.  A keep mask per chunk may stop the walk below some words: the
-dense lift oracle extends no word whose lifted product is exactly zero,
-as no extension of it can raise a supremum.  A word carries no letters,
-only its base-L numeral (L letters): int64 while L**n fits, Python
-integers beyond.  ``_sweep``
-takes from that single pass the counts and norm suprema of every length
-and class (each word adds to its level, its strictest class, one number
-from its first and last state; the nested classes gather the stricter
-levels after the loop) and the spectral suprema of the periodically
-extendable words, fed to the kernel through one buffer tagged by length.
+chunks.  The children are formed in pieces cut where those chunks will
+end, so no chunk is a slice of a longer array that would keep words
+already walked in memory.  A keep mask per chunk may stop the walk below
+some words: the dense lift oracle extends no word whose lifted product
+is exactly zero, as no extension of it can raise a supremum.  A word
+carries no letters, only its base-L numeral (L letters): int64 while
+L**n fits, Python integers beyond.  ``_sweep`` takes from that single
+pass the counts and norm suprema of every length and class (each word
+adds to its level, its strictest class, one number from its first and
+last state; the nested classes gather the stricter levels after the
+loop) and the spectral suprema of the periodically extendable words,
+fed to the kernel through one buffer tagged by length.
 The kernel sees at most one word per rotation class: rho is invariant
 under rotation (AB and BA have the same nonzero spectrum) and the
 periodic words of every automaton here are closed under rotation, so the
@@ -191,31 +193,44 @@ def _code_dtype(letters: int, n: int) -> type:
     return np.int64 if letters**n < 2**63 else object
 
 
-def _children(automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk) -> _Chunk:
-    """The extensions by one letter of the words of a chunk."""
+def _cuts(count: int, room: int, rows: int) -> list[tuple[int, int]]:
+    """``count`` words in pieces: the first of at most ``room`` words,
+    then ``rows`` words each; no piece is empty."""
+    ends = [0, *range(room, count, rows), count]
+    return [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
+
+
+def _children(
+    automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, room: int, rows: int
+) -> list[_Chunk]:
+    """The extensions by one letter of the words of a chunk, in the pieces
+    of ``_cuts``, each with products of its own."""
     parent, letter = np.nonzero(automaton.allowed[chunk.state])
     state = automaton.step[chunk.state[parent], letter]
+    first = state if chunk.n < automaton.head.shape[1] else chunk.first[parent]
+    letters = automaton.step.shape[1]
     codes = None
     if chunk.codes is not None:
-        letters = automaton.step.shape[1]
         dtype = _code_dtype(letters, chunk.n + 1)
         codes = chunk.codes[parent].astype(dtype, copy=False) * letters
         codes += letter.astype(dtype, copy=False)
-    if members is None:
-        products = None
-    elif len(letter) == len(members) * len(chunk):
-        # every parent takes every letter: one broadcast product, in the
-        # order of np.nonzero, and no gathered copy of members or parents
-        products = np.matmul(members, chunk.products[:, None]).reshape(-1, *members.shape[1:])
-    else:
-        products = np.matmul(members[letter], chunk.products[parent])
-    return _Chunk(
-        n=chunk.n + 1,
-        first=state if chunk.n < automaton.head.shape[1] else chunk.first[parent],
-        state=state,
-        products=products,
-        codes=codes,
-    )
+    # every parent takes every letter: a piece of whole parents is one
+    # broadcast product, in the order of np.nonzero, and no gathered copy
+    # of members or parents
+    complete = len(letter) == letters * len(chunk)
+    pieces = []
+    for a, b in _cuts(len(letter), room, rows):
+        if members is None:
+            products = None
+        elif complete and a % letters == b % letters == 0:
+            whole = chunk.products[a // letters:b // letters, None]
+            products = np.matmul(members, whole).reshape(-1, *members.shape[1:])
+        else:
+            products = np.matmul(members[letter[a:b]], chunk.products[parent[a:b]])
+        pieces.append(_Chunk(
+            chunk.n + 1, first[a:b], state[a:b], products, None if codes is None else codes[a:b]
+        ))
+    return pieces
 
 
 def _chunk_rows(row_bytes: int) -> int:
@@ -244,6 +259,16 @@ def _expand(
     plus one chunk's children wait at any length.  The walk keeps no
     recursion, so n_max is not bounded by the recursion limit.
 
+    A queue holds fewer than ``rows`` words whenever a shorter length
+    yields, so a chunk's children are formed in pieces cut where the
+    chunks of their length will end (``_cuts``, given the room left in
+    their queue), each piece with products of its own.  A chunk is then
+    one piece as it is, or several joined into a copy, and never a view
+    of a longer array, which would keep the products of words already
+    yielded in memory until its last word was.  (The pieces of one
+    chunk's children share its first, state and code arrays, a few bytes
+    a word.)
+
     ``extend``, if given, maps a yielded chunk to a mask of the words to
     extend: the others get no children, so of every longer length only
     the words whose proper prefixes were all kept are formed.
@@ -251,33 +276,39 @@ def _expand(
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
     state = automaton.starts[letters]
-    root = _Chunk(
-        1, state, state,
-        None if members is None else members[letters],
-        letters.astype(np.int64) if codes else None,
-    )
-    queues: list[list[_Chunk]] = [[], [root]]   # by length; index 0 unused
+    queues: list[list[_Chunk]] = [[], [        # by length; index 0 unused
+        _Chunk(
+            1, state[a:b], state[a:b],
+            None if members is None else members[letters[a:b]],
+            letters[a:b].astype(np.int64) if codes else None,
+        )
+        for a, b in _cuts(len(letters), rows, rows)
+    ]]
     n = low = 1                                 # lengths below low are done
     while low < len(queues):
         if n < low:  # no queue is full, and the shortest one left gets no more words
             n, low = low, low + 1
-            if not queues[n]:
+            taken = len(queues[n])
+            if not taken:
                 continue
-            chunk, queues[n] = _Chunk.join(queues[n]), []
         elif sum(map(len, queues[n])) >= rows:
-            waiting = _Chunk.join(queues[n])
-            chunk, queues[n] = waiting[:rows], [waiting[rows:]] if len(waiting) > rows else []
+            taken = size = 0
+            while size < rows:  # the first pieces end where the chunk does
+                size += len(queues[n][taken])
+                taken += 1
         else:
             n -= 1  # every queue deeper than n is short of a chunk
             continue
+        chunk = _Chunk.join(queues[n][:taken])
+        del queues[n][:taken]
         yield chunk
-        if n < n_max and extend is not None:
-            chunk = chunk[extend(chunk)]
-        if n < n_max and len(child := _children(automaton, members, chunk)):
+        if n < n_max:
+            if extend is not None:
+                chunk = chunk[extend(chunk)]
             if len(queues) == n + 1:
                 queues.append([])
-            queues[n + 1].append(child)
             n += 1
+            queues[n] += _children(automaton, members, chunk, rows - sum(map(len, queues[n])), rows)
 
 
 def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:

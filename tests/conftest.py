@@ -8,13 +8,17 @@ different routes to the same values.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from markovjsr import MatrixSet, TransitionMatrix, kstep, radius, surviving_nodes
+from markovjsr.cli import main
 
 
 @pytest.fixture
@@ -166,6 +170,31 @@ def count_sweeps(monkeypatch) -> list:
 
     monkeypatch.setattr(radius, "_sweep", counted)
     return calls
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """What a terminal shows: stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def invoke(*args) -> CliResult:
+    """Run the command line ``markovjsr ARGS`` in this process, with stdout
+    and stderr captured.  An exception other than SystemExit propagates."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())
 
 
 def write_instance(tmp_path, doc, name="instance.json"):

@@ -12,15 +12,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovjsr import __version__
 from markovjsr import cli, instancefile
-from markovjsr.cli import main
 from markovjsr.instancefile import parse_instance
-from tests.conftest import FOUR_LETTER_ROWS, GOLDEN_MEAN_DOC, count_sweeps, write_instance
+from tests.conftest import (
+    FOUR_LETTER_ROWS,
+    GOLDEN_MEAN_DOC,
+    count_sweeps,
+    invoke,
+    write_instance,
+)
 
 SQRT6 = math.sqrt(6.0)
 DATA = Path(__file__).resolve().parent / "data"
@@ -58,21 +62,12 @@ ORDER2_DOC = {
 }
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
-
-
 # ----------------------------------------------------------------- bounds
 
 
-def test_bounds_golden_mean_json(runner, tmp_path):
+def test_bounds_golden_mean_json(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "8", "--format", "json")
+    result = invoke("bounds", str(path), "--n-max", "8", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     agg = report["aggregates"]
@@ -86,24 +81,24 @@ def test_bounds_golden_mean_json(runner, tmp_path):
     assert len(report["instance_digest"]) == 64
 
 
-def test_bounds_text_output_mentions_aggregates(runner, tmp_path):
+def test_bounds_text_output_mentions_aggregates(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 0
     assert "best_upper: 2.44948974278" in result.output
     assert "best_lower: 2.44948974278" in result.output
 
 
-def test_bounds_deterministic_output(runner, tmp_path):
+def test_bounds_deterministic_output(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    first = invoke(runner, "bounds", str(path), "--format", "json").output
-    second = invoke(runner, "bounds", str(path), "--format", "json").output
+    first = invoke("bounds", str(path), "--format", "json").output
+    second = invoke("bounds", str(path), "--format", "json").output
     assert first == second
 
 
-def test_bounds_class_chain_table(runner, tmp_path):
+def test_bounds_class_chain_table(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "4", "--class-chain", "--format", "json")
+    result = invoke("bounds", str(path), "--n-max", "4", "--class-chain", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     for row in report["class_chain"]:
@@ -111,27 +106,27 @@ def test_bounds_class_chain_table(runner, tmp_path):
         assert vals == sorted(vals)  # periodic <= infinite <= markov <= chain
 
 
-def test_bounds_class_chain_makes_one_sweep(runner, tmp_path, monkeypatch):
+def test_bounds_class_chain_makes_one_sweep(tmp_path, monkeypatch):
     calls = count_sweeps(monkeypatch)
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "6", "--class-chain", "--format", "json")
+    result = invoke("bounds", str(path), "--n-max", "6", "--class-chain", "--format", "json")
     assert result.exit_code == 0
     assert [row["n"] for row in json.loads(result.output)["class_chain"]] == [1, 2, 3, 4, 5, 6]
     assert calls == [6]
 
 
 @pytest.mark.parametrize("n_max", ["0", "-2"])
-def test_bounds_class_chain_rejects_non_positive_n_max(runner, tmp_path, n_max):
+def test_bounds_class_chain_rejects_non_positive_n_max(tmp_path, n_max):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", n_max, "--class-chain")
+    result = invoke("bounds", str(path), "--n-max", n_max, "--class-chain")
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "word length must be positive" in result.stderr
 
 
-def test_bounds_kstep_instance_recodes_first(runner, tmp_path):
+def test_bounds_kstep_instance_recodes_first(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "10", "--format", "json")
+    result = invoke("bounds", str(path), "--n-max", "10", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["recoded_from_kstep"] is True
@@ -139,9 +134,9 @@ def test_bounds_kstep_instance_recodes_first(runner, tmp_path):
     assert report["aggregates"]["best_lower"] == pytest.approx(SQRT6, abs=1e-9)
 
 
-def test_bounds_text_names_the_recoded_order(runner, tmp_path):
+def test_bounds_text_names_the_recoded_order(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "2")
+    result = invoke("bounds", str(path), "--n-max", "2")
     assert result.exit_code == 0
     assert result.output.splitlines()[2:4] == [
         "norm=rowsum n_max=2 rel_tol=1e-09 class=markov",
@@ -149,9 +144,9 @@ def test_bounds_text_names_the_recoded_order(runner, tmp_path):
     ]
 
 
-def test_bounds_class_chain_text_table(runner, tmp_path):
+def test_bounds_class_chain_text_table(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--n-max", "2", "--class-chain")
+    result = invoke("bounds", str(path), "--n-max", "2", "--class-chain")
     assert result.exit_code == 0
     assert result.output.splitlines() == _text_head("bounds", GOLDEN_MEAN_DOC) + [
         "norm=rowsum n_max=2 rel_tol=1e-09 class=markov",
@@ -161,14 +156,14 @@ def test_bounds_class_chain_text_table(runner, tmp_path):
     ]
 
 
-def test_bounds_rejects_periodic_upper_class(runner, tmp_path):
+def test_bounds_rejects_periodic_upper_class(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "bounds", str(path), "--class", "periodic")
+    result = invoke("bounds", str(path), "--class", "periodic")
     assert result.exit_code == 3
     assert "class-chain" in (result.stderr or result.output)
 
 
-def test_bounds_budget_guard(runner, tmp_path):
+def test_bounds_budget_guard(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -176,48 +171,49 @@ def test_bounds_budget_guard(runner, tmp_path):
         "omega": [[1] * 4] * 4,
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path), "--n-max", "14")
+    result = invoke("bounds", str(path), "--n-max", "14")
     assert result.exit_code == 4
     assert "budget" in result.output or "budget" in (result.stderr or "")
-    relaxed = invoke(runner, "bounds", str(path), "--n-max", "6", "--budget", "100000000")
+    relaxed = invoke("bounds", str(path), "--n-max", "6", "--budget", "100000000")
     assert relaxed.exit_code == 0
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])
-def test_tol_option_is_a_usage_error(runner, tmp_path, command):
+def test_tol_option_is_a_usage_error(tmp_path, command):
     # the spectral tolerance is fixed: a looser one can print a best_lower
     # above the true rate
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, command, str(path), "--tol", "1e-3")
+    result = invoke(command, str(path), "--tol", "1e-3")
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "--tol" in result.stderr
+    assert result.stderr.startswith(f"usage: markovjsr {command} ")  # the command's usage
 
 
 # ------------------------------------------------------------ exit codes
 
 
-def test_malformed_json_is_parse_error(runner, tmp_path):
+def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 2
 
 
-def test_missing_file_is_parse_error(runner, tmp_path):
-    result = invoke(runner, "bounds", str(tmp_path / "nope.json"))
+def test_missing_file_is_parse_error(tmp_path):
+    result = invoke("bounds", str(tmp_path / "nope.json"))
     assert result.exit_code == 2
 
 
-def test_omega_and_kstep_together_is_parse_error(runner, tmp_path):
+def test_omega_and_kstep_together_is_parse_error(tmp_path):
     doc = dict(GOLDEN_MEAN_DOC)
     doc["kstep"] = {"k": 1, "allowed": [[1, 1]]}
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 2
 
 
-def test_ragged_omega_is_parse_error(runner, tmp_path):
+def test_ragged_omega_is_parse_error(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -225,11 +221,11 @@ def test_ragged_omega_is_parse_error(runner, tmp_path):
         "omega": [[1, 1], [1]],
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 2
 
 
-def test_non_binary_omega_entry_is_validation_error(runner, tmp_path):
+def test_non_binary_omega_entry_is_validation_error(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -237,21 +233,21 @@ def test_non_binary_omega_entry_is_validation_error(runner, tmp_path):
         "omega": [[1, 2], [1, 0]],
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 3
     assert "(1,2)" in (result.stderr or result.output)
 
 
-def test_huge_integer_omega_entry_is_named(runner, tmp_path):
+def test_huge_integer_omega_entry_is_named(tmp_path):
     # numpy holds a 400-digit integer only as a Python object
     doc = {**GOLDEN_MEAN_DOC, "omega": [[1, 1], [1, 10**400]]}
-    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+    result = invoke("bounds", str(write_instance(tmp_path, doc)))
     assert result.exit_code == 3
     message = result.stderr or result.output
     assert "transition entry at (2,2) is 1000" in message and "expected 0 or 1" in message
 
 
-def test_string_matrix_entry_is_parse_error(runner, tmp_path):
+def test_string_matrix_entry_is_parse_error(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -259,7 +255,7 @@ def test_string_matrix_entry_is_parse_error(runner, tmp_path):
         "omega": [[1, 1], [1, 0]],
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 2
 
 
@@ -291,32 +287,50 @@ KSTEP_DOC = {**ORDER2_DOC, "kstep": {"k": 1, "allowed": [[1, 1]]}}
         "kstep-without-allowed", "kstep-order-bool", "kstep-float-letter",
     ],
 )
-def test_malformed_document_names_its_fault(runner, tmp_path, doc, message):
-    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+def test_malformed_document_names_its_fault(tmp_path, doc, message):
+    result = invoke("bounds", str(write_instance(tmp_path, doc)))
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
 
 
-def test_kstep_order_zero_is_validation_error(runner, tmp_path):
+def test_deeply_nested_document_is_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    result = invoke("bounds", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: invalid JSON: nested too deeply\n"
+
+
+def test_instance_file_that_is_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(GOLDEN_MEAN_DOC).replace("real", "r\u00e9al").encode("latin-1"))
+    result = invoke("bounds", str(path))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read instance file {path}: 'utf-8' codec")
+
+
+def test_kstep_order_zero_is_validation_error(tmp_path):
     doc = {**KSTEP_DOC, "kstep": {"k": 0, "allowed": [[1]]}}
-    result = invoke(runner, "bounds", str(write_instance(tmp_path, doc)))
+    result = invoke("bounds", str(write_instance(tmp_path, doc)))
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "constraint order must be at least 1" in result.stderr
 
 
-def test_words_budget_guard(runner, tmp_path):
+def test_words_budget_guard(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "words", str(path), "--n", "40")
+    result = invoke("words", str(path), "--n", "40")
     assert result.exit_code == 4
 
 
-def test_verify_budget_counts_only_the_lifted_words_formed(runner):
+def test_verify_budget_counts_only_the_lifted_words_formed():
     # 9 recoded states: the lift oracle forms 20,664 lifted products to n 9,
     # but an estimate that counted all 9**n lifted words of each length
     # passed the default budget at n 8
-    result = invoke(runner, "verify", str(DATA / "kstep-order2.json"), "--n-max", "9")
+    result = invoke("verify", str(DATA / "kstep-order2.json"), "--n-max", "9")
     assert result.exit_code == 0
     assert "verdict: PASS" in result.stdout
 
@@ -324,17 +338,17 @@ def test_verify_budget_counts_only_the_lifted_words_formed(runner):
 @pytest.mark.parametrize(
     "command, length", [("bounds", "--n-max"), ("verify", "--n-max"), ("words", "--n")]
 )
-def test_budget_guard_stops_counting_at_the_budget(runner, command, length):
+def test_budget_guard_stops_counting_at_the_budget(command, length):
     # summing the exact word count of all 20000 lengths took about 40 s and
     # then failed to print the sum, a number of more than 4300 digits
     path = DATA / "sparse-chain.json"
-    result = invoke(runner, command, str(path), length, "20000")
+    result = invoke(command, str(path), length, "20000")
     assert result.exit_code == 4
     assert result.stdout == ""
     assert "budget" in result.stderr
 
 
-def test_real_field_with_imaginary_entry_is_validation_error(runner, tmp_path):
+def test_real_field_with_imaginary_entry_is_validation_error(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -342,7 +356,7 @@ def test_real_field_with_imaginary_entry_is_validation_error(runner, tmp_path):
         "omega": [[1, 1], [1, 0]],
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 3
 
 
@@ -354,10 +368,10 @@ def test_real_field_with_imaginary_entry_is_validation_error(runner, tmp_path):
         (1e120, 6),   # products overflow to inf at n = 3
     ],
 )
-def test_bounds_out_of_range_scale_is_validation_error(runner, tmp_path, scale, n_max):
+def test_bounds_out_of_range_scale_is_validation_error(tmp_path, scale, n_max):
     doc = dict(GOLDEN_MEAN_DOC, matrices=[[[2 * scale]], [[3 * scale]]])
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path), "--n-max", str(n_max))
+    result = invoke("bounds", str(path), "--n-max", str(n_max))
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "overflow" in result.stderr or "underflow" in result.stderr
@@ -372,10 +386,10 @@ TINY_DOC = {
 }
 
 
-def test_bounds_frobenius_norm_of_tiny_members(runner, tmp_path):
+def test_bounds_frobenius_norm_of_tiny_members(tmp_path):
     path = write_instance(tmp_path, TINY_DOC)
     result = invoke(
-        runner, "bounds", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
+        "bounds", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
     )
     assert result.exit_code == 0, result.output
     agg = json.loads(result.output)["aggregates"]
@@ -383,10 +397,10 @@ def test_bounds_frobenius_norm_of_tiny_members(runner, tmp_path):
     assert agg["best_upper"] == pytest.approx(math.sqrt(8) * 1e-170, rel=1e-11)
 
 
-def test_verify_frobenius_norm_of_tiny_members(runner, tmp_path):
+def test_verify_frobenius_norm_of_tiny_members(tmp_path):
     path = write_instance(tmp_path, TINY_DOC)
     result = invoke(
-        runner, "verify", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
+        "verify", str(path), "--n-max", "1", "--norm", "frobenius", "--format", "json",
     )
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
@@ -476,14 +490,14 @@ HUGE_INT = "1" + "0" * 400  # beyond the float range, as 1e400 is
         pytest.param(f"[{HUGE_INT}, 0]", id="400-digit-pair"),
     ],
 )
-def test_nan_entry_is_validation_error(runner, tmp_path, entry):
+def test_nan_entry_is_validation_error(tmp_path, entry):
     path = tmp_path / "nan.json"
     path.write_text(
         f'{{"dimension": 1, "field": "real", "matrices": [[[{entry}]], [[3]]], '
         '"omega": [[1, 1], [1, 0]]}',
         encoding="utf-8",
     )
-    result = invoke(runner, "bounds", str(path))
+    result = invoke("bounds", str(path))
     assert result.exit_code == 3
     assert "member 1 entry (1,1) is not finite" in (result.stderr or result.output)
 
@@ -503,7 +517,7 @@ def test_kstep_document_round_trip():
 # ------------------------------------------------------------------- lift
 
 
-def test_lift_emits_reference_block_layout(runner, tmp_path):
+def test_lift_emits_reference_block_layout(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -511,7 +525,7 @@ def test_lift_emits_reference_block_layout(runner, tmp_path):
         "omega": FOUR_LETTER_ROWS,
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "lift", str(path), "--format", "json")
+    result = invoke("lift", str(path), "--format", "json")
     assert result.exit_code == 0
     out = json.loads(result.output)
     assert out["dimension"] == 4
@@ -527,14 +541,14 @@ def test_lift_emits_reference_block_layout(runner, tmp_path):
     assert out["lift_factors"][0][0][0] == 1
 
 
-def test_lift_round_trip_reproduces_bounds(runner, tmp_path):
+def test_lift_round_trip_reproduces_bounds(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lifted = invoke("lift", str(path), "--format", "json")
     lift_path = tmp_path / "lifted.json"
     lift_path.write_text(lifted.output, encoding="utf-8")
 
-    direct = json.loads(invoke(runner, "bounds", str(path), "--n-max", "5", "--format", "json").output)
-    via_lift = json.loads(invoke(runner, "bounds", str(lift_path), "--n-max", "5", "--format", "json").output)
+    direct = json.loads(invoke("bounds", str(path), "--n-max", "5", "--format", "json").output)
+    via_lift = json.loads(invoke("bounds", str(lift_path), "--n-max", "5", "--format", "json").output)
     direct_uppers = {b["n"]: b["value"] for b in direct["bounds"] if b["kind"] == "norm"}
     lift_uppers = {b["n"]: b["value"] for b in via_lift["bounds"] if b["kind"] == "norm"}
     for n in direct_uppers:
@@ -545,7 +559,7 @@ def test_lift_round_trip_reproduces_bounds(runner, tmp_path):
         assert lift_lowers[n] == pytest.approx(direct_lowers[n], rel=1e-9, abs=1e-9)
 
 
-def test_lift_round_trip_with_matrix_blocks(runner, tmp_path):
+def test_lift_round_trip_with_matrix_blocks(tmp_path):
     rng = np.random.default_rng(88)
     doc = {
         "dimension": 2,
@@ -557,11 +571,11 @@ def test_lift_round_trip_with_matrix_blocks(runner, tmp_path):
         "omega": [[1, 1, 0], [0, 1, 1], [1, 0, 0]],
     }
     path = write_instance(tmp_path, doc)
-    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lifted = invoke("lift", str(path), "--format", "json")
     lift_path = tmp_path / "lifted2.json"
     lift_path.write_text(lifted.output, encoding="utf-8")
-    direct = json.loads(invoke(runner, "bounds", str(path), "--n-max", "4", "--format", "json").output)
-    via_lift = json.loads(invoke(runner, "bounds", str(lift_path), "--n-max", "4", "--format", "json").output)
+    direct = json.loads(invoke("bounds", str(path), "--n-max", "4", "--format", "json").output)
+    via_lift = json.loads(invoke("bounds", str(lift_path), "--n-max", "4", "--format", "json").output)
     for kind in ("norm", "spectral"):
         d = {b["n"]: b["value"] for b in direct["bounds"] if b["kind"] == kind}
         l = {b["n"]: b["value"] for b in via_lift["bounds"] if b["kind"] == kind}
@@ -569,7 +583,7 @@ def test_lift_round_trip_with_matrix_blocks(runner, tmp_path):
             assert l[n] == pytest.approx(d[n], rel=1e-9, abs=1e-9)
 
 
-def test_bounds_complex_instance(runner, tmp_path):
+def test_bounds_complex_instance(tmp_path):
     doc = {
         "dimension": 1,
         "field": "complex",
@@ -577,7 +591,7 @@ def test_bounds_complex_instance(runner, tmp_path):
         "omega": [[1, 1], [1, 0]],
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "bounds", str(path), "--n-max", "6", "--format", "json")
+    result = invoke("bounds", str(path), "--n-max", "6", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     # moduli are again {2, 3}, so the bounds close at sqrt(6)
@@ -585,10 +599,10 @@ def test_bounds_complex_instance(runner, tmp_path):
     assert report["aggregates"]["best_upper"] == pytest.approx(SQRT6, abs=1e-9)
 
 
-def test_lift_single_letter_identity(runner, tmp_path):
+def test_lift_single_letter_identity(tmp_path):
     doc = {"dimension": 1, "field": "real", "matrices": [[[5]]], "omega": [[1]]}
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "lift", str(path), "--format", "json")
+    result = invoke("lift", str(path), "--format", "json")
     out = json.loads(result.output)
     assert out["matrices"] == [[[5.0]]]
     assert out["omega"] == [[1]]
@@ -601,9 +615,9 @@ def _text_head(command, doc):
     ]
 
 
-def test_lift_text_output_golden_mean(runner, tmp_path):
+def test_lift_text_output_golden_mean(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "lift", str(path), "--format", "text")
+    result = invoke("lift", str(path), "--format", "text")
     assert result.exit_code == 0
     assert result.output.splitlines() == _text_head("lift", GOLDEN_MEAN_DOC) + [
         "blocks=2 block_dim=1 lifted_dimension=2",
@@ -622,9 +636,9 @@ def test_lift_text_output_golden_mean(runner, tmp_path):
     ]
 
 
-def test_lift_text_output_complex_instance(runner, tmp_path):
+def test_lift_text_output_complex_instance(tmp_path):
     path = write_instance(tmp_path, COMPLEX_DOC)
-    result = invoke(runner, "lift", str(path), "--format", "text")
+    result = invoke("lift", str(path), "--format", "text")
     assert result.exit_code == 0
     assert result.output.splitlines() == _text_head("lift", COMPLEX_DOC) + [
         "blocks=2 block_dim=2 lifted_dimension=4",
@@ -647,16 +661,16 @@ def test_lift_text_output_complex_instance(runner, tmp_path):
     ]
 
 
-def test_lift_requires_explicit_omega(runner, tmp_path):
+def test_lift_requires_explicit_omega(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "lift", str(path))
+    result = invoke("lift", str(path))
     assert result.exit_code == 3
 
 
 # ----------------------------------------------------------------- verify
 
 
-def test_verify_reference_instance_passes(runner, tmp_path):
+def test_verify_reference_instance_passes(tmp_path):
     rng = np.random.default_rng(2026)
     doc = {
         "dimension": 2,
@@ -668,7 +682,7 @@ def test_verify_reference_instance_passes(runner, tmp_path):
         "omega": FOUR_LETTER_ROWS,
     }
     path = write_instance(tmp_path, doc)
-    result = invoke(runner, "verify", str(path), "--n-max", "4", "--format", "json")
+    result = invoke("verify", str(path), "--n-max", "4", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["passed"] is True
@@ -676,27 +690,27 @@ def test_verify_reference_instance_passes(runner, tmp_path):
     assert report["factor_structure"]["representation_ok"] is True
 
 
-def test_verify_detects_corrupted_claimed_lift(runner, tmp_path):
+def test_verify_detects_corrupted_claimed_lift(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lifted = invoke("lift", str(path), "--format", "json")
     doc = json.loads(lifted.output)
     doc["matrices"][0][0][0] = 0.0  # zero out one block
     bad_path = tmp_path / "claimed.json"
     bad_path.write_text(json.dumps(doc), encoding="utf-8")
     result = invoke(
-        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(bad_path)
+        "verify", str(path), "--n-max", "3", "--claimed-lift", str(bad_path)
     )
     assert result.exit_code == 1
     assert "claimed lift matches: NO" in result.output
 
 
-def test_verify_accepts_genuine_claimed_lift(runner, tmp_path):
+def test_verify_accepts_genuine_claimed_lift(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lifted = invoke("lift", str(path), "--format", "json")
     lift_path = tmp_path / "claimed.json"
     lift_path.write_text(lifted.output, encoding="utf-8")
     result = invoke(
-        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
+        "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
     )
     assert result.exit_code == 0
 
@@ -710,14 +724,14 @@ def test_verify_accepts_genuine_claimed_lift(runner, tmp_path):
     ],
     ids=["identity-omega", "kstep"],
 )
-def test_verify_rejects_claimed_lift_without_complete_omega(runner, tmp_path, rule):
+def test_verify_rejects_claimed_lift_without_complete_omega(tmp_path, rule):
     # the matrices are the genuine lift, but under another transition rule
     claimed = json.loads((DATA / "sparse-chain.lift.json").read_text(encoding="utf-8"))
     del claimed["omega"]
     claimed.update(rule)
     claimed_path = write_instance(tmp_path, claimed, name="claimed.json")
     result = invoke(
-        runner, "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
+        "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
         "--claimed-lift", str(claimed_path),
     )
     assert "claimed lift matches: NO" in result.output
@@ -725,22 +739,22 @@ def test_verify_rejects_claimed_lift_without_complete_omega(runner, tmp_path, ru
     assert result.exit_code == 1
 
 
-def test_verify_rejects_claimed_lift_of_the_wrong_size(runner, tmp_path):
+def test_verify_rejects_claimed_lift_of_the_wrong_size(tmp_path):
     # complete transitions, but 2 scalar members instead of 3 of dimension 12
     claimed = {**GOLDEN_MEAN_DOC, "omega": [[1, 1], [1, 1]]}
     claimed_path = write_instance(tmp_path, claimed, name="claimed.json")
     result = invoke(
-        runner, "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
+        "verify", str(DATA / "sparse-chain.json"), "--n-max", "3",
         "--claimed-lift", str(claimed_path),
     )
     assert "claimed lift matches: NO" in result.output
     assert result.exit_code == 1
 
 
-def test_verify_claimed_lift_needs_an_explicit_omega(runner, tmp_path):
+def test_verify_claimed_lift_needs_an_explicit_omega(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
     result = invoke(
-        runner, "verify", str(path), "--n-max", "3",
+        "verify", str(path), "--n-max", "3",
         "--claimed-lift", str(DATA / "sparse-chain.lift.json"),
     )
     assert result.exit_code == 3
@@ -751,32 +765,32 @@ def test_verify_claimed_lift_needs_an_explicit_omega(runner, tmp_path):
 @pytest.mark.parametrize(
     "doc, code", [(GOLDEN_MEAN_DOC, 2), (ORDER2_DOC, 3)], ids=["missing-claimed-file", "kstep"]
 )
-def test_verify_checks_the_claimed_lift_before_any_sweep(runner, tmp_path, monkeypatch, doc, code):
+def test_verify_checks_the_claimed_lift_before_any_sweep(tmp_path, monkeypatch, doc, code):
     calls = count_sweeps(monkeypatch)
     result = invoke(
-        runner, "verify", str(write_instance(tmp_path, doc)), "--n-max", "3",
+        "verify", str(write_instance(tmp_path, doc)), "--n-max", "3",
         "--claimed-lift", str(tmp_path / "missing.json"),
     )
     assert result.exit_code == code
     assert calls == []
 
 
-def test_verify_accepts_lift_output_of_non_integer_instance(runner, tmp_path):
+def test_verify_accepts_lift_output_of_non_integer_instance(tmp_path):
     # `lift` prints 12 significant digits, which verify must accept as exact
     path = write_instance(tmp_path, NON_INTEGER_DOC)
-    lifted = invoke(runner, "lift", str(path), "--format", "json")
+    lifted = invoke("lift", str(path), "--format", "json")
     lift_path = tmp_path / "claimed.json"
     lift_path.write_text(lifted.output, encoding="utf-8")
     result = invoke(
-        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
+        "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
     )
     assert "claimed lift matches: yes" in result.output
     assert result.exit_code == 0
 
 
-def test_verify_rejects_lift_entry_moved_at_twelfth_digit(runner, tmp_path):
+def test_verify_rejects_lift_entry_moved_at_twelfth_digit(tmp_path):
     path = write_instance(tmp_path, NON_INTEGER_DOC)
-    claimed = json.loads(invoke(runner, "lift", str(path), "--format", "json").output)
+    claimed = json.loads(invoke("lift", str(path), "--format", "json").output)
     entry = claimed["matrices"][0][0][0]
     exponent = math.floor(math.log10(abs(entry)))
     claimed["matrices"][0][0][0] = float(f"{entry + 10.0 ** (exponent - 11):.12g}")
@@ -784,7 +798,7 @@ def test_verify_rejects_lift_entry_moved_at_twelfth_digit(runner, tmp_path):
     lift_path = tmp_path / "claimed.json"
     lift_path.write_text(json.dumps(claimed), encoding="utf-8")
     result = invoke(
-        runner, "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
+        "verify", str(path), "--n-max", "3", "--claimed-lift", str(lift_path)
     )
     assert "claimed lift matches: NO" in result.output
     assert result.exit_code == 1
@@ -793,16 +807,16 @@ def test_verify_rejects_lift_entry_moved_at_twelfth_digit(runner, tmp_path):
 # ------------------------------------------------------------------ words
 
 
-def test_words_golden_mean(runner, tmp_path):
+def test_words_golden_mean(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "words", str(path), "--n", "2", "--class", "markov")
+    result = invoke("words", str(path), "--n", "2", "--class", "markov")
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert lines[:3] == ["1 1", "1 2", "2 1"]
     assert "count: 3 (transfer-matrix: 3, ok)" in lines[3]
 
 
-def test_words_reference_periodic_includes_known_word(runner, tmp_path):
+def test_words_reference_periodic_includes_known_word(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -811,23 +825,23 @@ def test_words_reference_periodic_includes_known_word(runner, tmp_path):
     }
     path = write_instance(tmp_path, doc)
     result = invoke(
-        runner, "words", str(path), "--n", "3", "--class", "periodic", "--format", "json"
+        "words", str(path), "--n", "3", "--class", "periodic", "--format", "json"
     )
     report = json.loads(result.output)
     assert [1, 3, 4] in report["words"]
     assert report["counts_agree"] is True
 
 
-def test_words_single_letters(runner, tmp_path):
+def test_words_single_letters(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "words", str(path), "--n", "1", "--class", "chain", "--format", "json")
+    result = invoke("words", str(path), "--n", "1", "--class", "chain", "--format", "json")
     report = json.loads(result.output)
     assert report["words"] == [[1], [2]]
 
 
-def test_words_on_kstep_instance_lists_recoded_states(runner, tmp_path):
+def test_words_on_kstep_instance_lists_recoded_states(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "words", str(path), "--n", "1", "--class", "markov", "--format", "json")
+    result = invoke("words", str(path), "--n", "1", "--class", "markov", "--format", "json")
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["recoded_from_kstep"] is True
@@ -835,7 +849,7 @@ def test_words_on_kstep_instance_lists_recoded_states(runner, tmp_path):
     assert report["words"] == [[1], [2], [3]]  # every recoded state has a continuation
 
 
-def test_bounds_upper_class_flag_changes_table_class(runner, tmp_path):
+def test_bounds_upper_class_flag_changes_table_class(tmp_path):
     doc = {
         "dimension": 1,
         "field": "real",
@@ -844,7 +858,7 @@ def test_bounds_upper_class_flag_changes_table_class(runner, tmp_path):
     }
     path = write_instance(tmp_path, doc)
     report = json.loads(
-        invoke(runner, "bounds", str(path), "--n-max", "2", "--class", "chain", "--format", "json").output
+        invoke("bounds", str(path), "--n-max", "2", "--class", "chain", "--format", "json").output
     )
     uppers = {b["n"]: b for b in report["bounds"] if b["kind"] == "norm"}
     assert uppers[2]["class"] == "chain"
@@ -854,23 +868,23 @@ def test_bounds_upper_class_flag_changes_table_class(runner, tmp_path):
 # ----------------------------------------------------------- kstep-recode
 
 
-def test_kstep_recode_emits_loadable_instance(runner, tmp_path):
+def test_kstep_recode_emits_loadable_instance(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "kstep-recode", str(path), "--format", "json")
+    result = invoke("kstep-recode", str(path), "--format", "json")
     assert result.exit_code == 0
     out = json.loads(result.output)
     assert out["states"] == [[1, 1], [1, 2], [2, 1]]
     recoded_path = tmp_path / "recoded.json"
     recoded_path.write_text(result.output, encoding="utf-8")
     bounds = json.loads(
-        invoke(runner, "bounds", str(recoded_path), "--n-max", "10", "--format", "json").output
+        invoke("bounds", str(recoded_path), "--n-max", "10", "--format", "json").output
     )
     assert bounds["aggregates"]["best_lower"] == pytest.approx(SQRT6, abs=1e-9)
 
 
-def test_kstep_recode_text_output(runner, tmp_path):
+def test_kstep_recode_text_output(tmp_path):
     path = write_instance(tmp_path, ORDER2_DOC)
-    result = invoke(runner, "kstep-recode", str(path), "--format", "text")
+    result = invoke("kstep-recode", str(path), "--format", "text")
     assert result.exit_code == 0
     assert result.output.splitlines() == [
         f"markovjsr kstep-recode v{__version__}",
@@ -885,9 +899,9 @@ def test_kstep_recode_text_output(runner, tmp_path):
     ]
 
 
-def test_kstep_recode_requires_kstep_block(runner, tmp_path):
+def test_kstep_recode_requires_kstep_block(tmp_path):
     path = write_instance(tmp_path, GOLDEN_MEAN_DOC)
-    result = invoke(runner, "kstep-recode", str(path))
+    result = invoke("kstep-recode", str(path))
     assert result.exit_code == 3
 
 
@@ -905,13 +919,40 @@ def test_kstep_recode_requires_kstep_block(runner, tmp_path):
         ("kstep-recode", "Recode an order-k instance into an explicit one-step instance file."),
     ],
 )
-def test_help_prints_the_docstring(runner, command, first_line):
-    result = invoke(runner, *([command] if command else []), "--help")
+def test_help_prints_the_docstring(command, first_line):
+    result = invoke(*([command] if command else []), "--help")
     assert result.exit_code == 0
-    assert f"\n  {first_line}\n" in result.output
+    assert result.stderr == ""
+    usage, description = result.stdout.split("\n\n")[:2]
+    assert description.splitlines()[0] == first_line
     if command:
-        assert result.output.startswith(f"Usage: main {command} [OPTIONS] INSTANCE\n")
-        assert "--format [text|json]" in result.output
+        assert usage.startswith(f"usage: markovjsr {command} ")
+        assert usage.split()[-1] == "INSTANCE"
+        assert "--format {text,json}" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["bounds", "INSTANCE", "--n", "3"], 2),  # an option name is never abbreviated
+        (["bounds", "INSTANCE", "--norm", "bogus"], 2),
+        (["bounds"], 2),
+        ([], 2),
+        (["bounds", "INSTANCE", "--n-max=2"], 0),
+        (["bounds", "INSTANCE", "--n-max", "30", "--n-max", "2"], 0),  # the last one wins
+        (["bounds", "INSTANCE", "--n-max", "2", "--n-max", "30"], 4),
+        (["bounds", "INSTANCE", "--n-max", "-1"], 3),  # a negative number is a value
+    ],
+    ids=[
+        "no-abbreviation", "unknown-choice", "no-instance", "no-command", "equals-sign",
+        "last-wins", "last-wins-over-budget", "negative-n-max",
+    ],
+)
+def test_command_line_parsing(args, code):
+    result = invoke(*(str(DATA / "sparse-chain.json") if a == "INSTANCE" else a for a in args))
+    assert result.exit_code == code
+    assert (result.stdout != "") == (code == 0)
+    assert (result.stderr != "") == (code != 0)
 
 
 # ------------------------------------------------------- console entry point
@@ -959,6 +1000,20 @@ def test_run_freezes_the_heap_once_after_main(monkeypatch, capsys, args, code):
     assert exit_.value.code == code
     freeze.assert_called_once_with()
     assert capsys.readouterr().out == ("" if code else f"markovjsr, version {__version__}\n")
+
+
+def test_cli_imports_nothing_beyond_numpy_and_the_standard_library():
+    # the difference of sys.modules, as site's .pth hooks may import more at start-up
+    result = run_python(
+        "-c",
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import markovjsr.cli\n"
+        "allowed = {'numpy', 'markovjsr', *sys.stdlib_module_names}\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))\n",
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode() == "[]\n"
 
 
 def test_console_script_resolves_to_a_callable():

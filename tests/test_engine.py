@@ -15,8 +15,10 @@ import contextlib
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 import warnings
 from functools import cache, partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -41,6 +43,7 @@ from markovjsr import (
     spectral_radii,
 )
 from markovjsr import radius
+from markovjsr.instancefile import load_instance
 from tests.conftest import fold_product, random_binary_rows, random_instance, window_class_words
 
 NUMPY_NORMS = {
@@ -180,6 +183,39 @@ def test_engine_yields_full_chunks_per_length(rows, omega_rows):
         ]
         assert codes == expected
         assert yielded[n] == formed[n]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 5])
+@pytest.mark.parametrize(
+    "omega_rows",
+    [
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: pieces of whole parents are broadcast
+        [[1, 1, 0], [1, 0, 1], [1, 1, 1]],  # one, two and three successors
+    ],
+)
+def test_no_chunk_is_a_slice_of_a_longer_array(rows, omega_rows):
+    # a slice would keep the products of the words yielded before it in memory
+    om = TransitionMatrix.from_rows(omega_rows)
+    automaton = radius._Automaton.from_omega(om)
+    members = np.random.default_rng(0).standard_normal((om.size, 2, 2))
+    with tiny_chunks(rows) if rows else contextlib.nullcontext():
+        for chunk in radius._expand(automaton, members, 6, codes=True):
+            owner = chunk.products if chunk.products.base is None else chunk.products.base
+            assert owner.nbytes == chunk.products.nbytes
+
+
+def test_sandwich_peak_memory_on_dense_spectral():
+    # 2 complex 16 x 16 members: each product is 4 KiB and 16,382 words are
+    # formed to n 13; the spectral buffer alone is 1.5 MB
+    instance = load_instance(Path(__file__).resolve().parent / "data" / "dense-spectral.json")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sandwich(instance.matrices, instance.omega, 13)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -631,11 +667,11 @@ def test_lifted_sweep_forms_few_products():
     formed = []
     children = radius._children
 
-    def counted(automaton, members, chunk):
-        child = children(automaton, members, chunk)
+    def counted(automaton, members, chunk, *cuts):
+        pieces = children(automaton, members, chunk, *cuts)
         if members is not None and members.shape[-1] == lifted_dim:
-            formed.append(len(child))
-        return child
+            formed.append(sum(map(len, pieces)))
+        return pieces
 
     with mock.patch.object(radius, "_children", counted):
         assert full_verification(mats, om, 9).passed

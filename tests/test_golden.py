@@ -17,9 +17,8 @@ intended change of output, by running the command from tests/data with
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from markovjsr.cli import main
+from tests.conftest import invoke
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -46,6 +45,6 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_json_matches_golden(name):
     args = [str(DATA / a) if a.endswith(".json") else a for a in CASES[name]]
-    result = CliRunner().invoke(main, [*args, "--format", "json"], catch_exceptions=False)
+    result = invoke(*args, "--format", "json")
     assert result.exit_code == 0
     assert result.stdout == (DATA / "golden" / f"{name}.json").read_text(encoding="utf-8")
