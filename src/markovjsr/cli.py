@@ -1,7 +1,8 @@
 """Command-line interface: bounds, lift, verify, words, kstep-recode.
 
 Exit codes are part of the contract: 0 success, 1 verification failure,
-2 instance parse error, 3 validation error, 4 budget exceeded.
+2 instance parse error, 3 validation error, 4 budget exceeded, 141
+(128 + SIGPIPE) output cut short because the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import os
 import sys
 
 import numpy as np
@@ -26,7 +28,9 @@ from markovjsr.instancefile import (
     instance_document,
     load_instance,
     render_document,
+    render_words_document,
     sig12,
+    word_batches,
 )
 from markovjsr.kstep import RecodedInstance, recode
 from markovjsr.lift import lift_set, omega_factor
@@ -75,8 +79,9 @@ def _fail(code: int, message: str) -> None:
 def _command(name: str, *options: tuple):
     """Register ``body(instance, **options)`` as the subcommand ``name``,
     which takes an INSTANCE file and ``options`` (``_option`` tuples).
-    ``body`` returns the JSON document and its text lines (a generator,
-    so only the chosen format is rendered)."""
+    ``body`` returns the report's JSON document and two generators of its
+    output, JSON text and text lines, so that only the chosen format is
+    rendered, as it is written."""
 
     def register(body):
         _COMMANDS[name] = body, options
@@ -86,16 +91,16 @@ def _command(name: str, *options: tuple):
 
 
 def _run(body, instance_path: str, fmt: str, **options) -> None:
-    """Run ``body`` on the loaded INSTANCE and print the chosen format.
-    Errors map to the exit codes 2, 3 and 4; a document holding
-    ``"passed": false`` exits 1."""
+    """Run ``body`` on the loaded INSTANCE and write the chosen format
+    chunk by chunk.  Errors map to the exit codes 2, 3 and 4; a document
+    holding ``"passed": false`` exits 1, and a reader that closes stdout
+    before the end exits 141."""
     try:
-        document, text_lines = body(load_instance(instance_path), **options)
-        if fmt == "json":
-            sys.stdout.write(render_document(document))
-        else:
-            for line in text_lines:
-                print(line)
+        document, json_chunks, text_lines = body(load_instance(instance_path), **options)
+        chunks = json_chunks if fmt == "json" else (line + "\n" for line in text_lines)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
         if document.get("passed") is False:
             sys.exit(1)
     except InstanceParseError as exc:
@@ -104,6 +109,11 @@ def _run(body, instance_path: str, fmt: str, **options) -> None:
         _fail(3, str(exc))
     except BudgetExceeded as exc:
         _fail(4, str(exc))
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so that its flush at exit
+        # raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
 
 
 def _resolve(instance: Instance) -> tuple[MatrixSet, TransitionMatrix, RecodedInstance | None]:
@@ -139,6 +149,10 @@ def _report_head(command: str, instance: Instance, **fields) -> dict:
         "instance_digest": instance.digest,
         **fields,
     }
+
+
+def _json(document: dict):
+    yield render_document(document)
 
 
 def _fmt(x: float) -> str:
@@ -266,7 +280,7 @@ def cmd_bounds(instance, n_max, norm, word_class, class_chain, budget):
             }
             for n, pts in enumerate(alternative_class_chain(matrices, omega, n_max, norm_kind), 1)
         ]
-        return report, _bounds_text(report)
+        return report, _json(report), _bounds_text(report)
     result = sandwich(matrices, omega, n_max, norm=norm_kind, upper_class=WordClass(word_class))
     report["alpha"] = sig12(result.alpha)
     report["bounds"] = [
@@ -288,7 +302,7 @@ def cmd_bounds(instance, n_max, norm, word_class, class_chain, budget):
         "gap": sig12(result.gap),
     }
     report["cross_bounds"] = _cross_rows(result.cross_bounds)
-    return report, _bounds_text(report)
+    return report, _json(report), _bounds_text(report)
 
 
 # ------------------------------------------------------------------ lift
@@ -334,7 +348,7 @@ def cmd_lift(instance):
             "lift_block_dim": matrices.dim,
         },
     )
-    return doc, _lift_text({**_report_head("lift", instance), **doc})
+    return doc, _json(doc), _lift_text({**_report_head("lift", instance), **doc})
 
 
 # ---------------------------------------------------------------- verify
@@ -431,17 +445,19 @@ def cmd_verify(instance, n_max, norm, budget, claimed_lift):
     report["cross_bounds"] = _cross_rows(outcome.cross_bounds)
     report["claimed_lift_matches"] = claimed_ok
     report["passed"] = outcome.passed and claimed_ok is not False
-    return report, _verify_text(report)
+    return report, _json(report), _verify_text(report)
 
 
 # ----------------------------------------------------------------- words
 
 
-def _words_text(report: dict):
-    for word in report["words"]:
-        yield " ".join(str(v) for v in word)
-    agree = "ok" if report["counts_agree"] else "MISMATCH"
-    yield f"count: {report['stream_count']} (transfer-matrix: {report['transfer_count']}, {agree})"
+def _words_text(words, n: int, transfer: int):
+    count = 0
+    for size, lines in word_batches(words, " ".join(["%d"] * n), "\n"):
+        yield lines
+        count += size
+    agree = "ok" if count == transfer else "MISMATCH"
+    yield f"count: {count} (transfer-matrix: {transfer}, {agree})"
 
 
 @_command(
@@ -457,22 +473,16 @@ def cmd_words(instance, n, word_class, budget):
     _, omega, rec = _resolve(instance)
     _check_budget(omega, n, budget)
     cls = WordClass(word_class)
-    listed = [list(w) for w in enumerate_words(omega, n, cls)]
-    transfer = count_words(omega, n, cls)
-    report = _report_head(
+    transfer = count_words(omega, n, cls)  # checks n before anything is written
+    head = _report_head(
         "words", instance,
         n=n, word_class=word_class,
         recoded_from_kstep=rec is not None,
     )
     if rec is not None:
-        report["states"] = [list(s) for s in rec.states]
-    report.update(
-        words=listed,
-        stream_count=len(listed),
-        transfer_count=transfer,
-        counts_agree=transfer == len(listed),
-    )
-    return report, _words_text(report)
+        head["states"] = [list(s) for s in rec.states]
+    words = enumerate_words(omega, n, cls)
+    return head, render_words_document(head, words, transfer), _words_text(words, n, transfer)
 
 
 # ---------------------------------------------------------- kstep-recode
@@ -499,7 +509,7 @@ def cmd_kstep_recode(instance):
         omega=rec.omega,
         extra={"states": [list(s) for s in rec.states]},
     )
-    return doc, _recode_text({**_report_head("kstep-recode", instance), **doc})
+    return doc, _json(doc), _recode_text({**_report_head("kstep-recode", instance), **doc})
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +43,8 @@ __all__ = [
     "load_instance",
     "instance_document",
     "render_document",
+    "render_words_document",
+    "word_batches",
     "document_digest",
     "sig12",
 ]
@@ -230,6 +234,41 @@ def instance_document(
 
 def render_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+# words formatted per write: a words report is written as its words are
+# listed, so that memory does not grow with their number
+_WORD_BATCH = 256
+
+
+def word_batches(
+    words: Iterator[tuple[int, ...]], template: str, sep: str
+) -> Iterator[tuple[int, str]]:
+    """The words formatted by ``template`` and joined by ``sep``, a batch at
+    a time, each with its number of words."""
+    while batch := list(islice(words, _WORD_BATCH)):
+        yield len(batch), sep.join(map(template.__mod__, batch))
+
+
+def render_words_document(
+    head: dict, words: Iterator[tuple[int, ...]], transfer_count: int
+) -> Iterator[str]:
+    """``render_document`` of a words report, chunk by chunk, without
+    holding its words: the ``head`` fields, the length-``head["n"]`` words
+    as ``json.dumps(indent=2)`` lays out a list of lists of integers, then
+    ``stream_count``, ``transfer_count`` and ``counts_agree``."""
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "words": ['
+    row = "    [\n      " + ",\n      ".join(["%d"] * head["n"]) + "\n    ]"
+    count = 0
+    for size, rows in word_batches(words, row, ",\n"):
+        yield (",\n" if count else "\n") + rows
+        count += size
+    tail = {
+        "stream_count": count,
+        "transfer_count": transfer_count,
+        "counts_agree": count == transfer_count,
+    }
+    yield ("\n  ]," if count else "],") + json.dumps(tail, indent=2)[1:] + "\n"
 
 
 def document_digest(doc: dict) -> str:

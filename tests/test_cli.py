@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import itertools
@@ -7,20 +8,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovjsr import __version__
-from markovjsr import cli, instancefile
-from markovjsr.instancefile import parse_instance
+from markovjsr import cli, instancefile, kstep
+from markovjsr.instancefile import load_instance, parse_instance
 from tests.conftest import (
     FOUR_LETTER_ROWS,
     GOLDEN_MEAN_DOC,
+    brute_words,
     count_sweeps,
     invoke,
     write_instance,
@@ -849,6 +852,97 @@ def test_words_on_kstep_instance_lists_recoded_states(tmp_path):
     assert report["words"] == [[1], [2], [3]]  # every recoded state has a continuation
 
 
+def words_materialised(path, n, word_class, fmt) -> str:
+    """The words report of an instance file as one document rendered whole,
+    its words found by brute force over the (recoded) transition rows."""
+    instance = load_instance(path)
+    head = {
+        "tool": "markovjsr", "version": __version__, "command": "words",
+        "instance_digest": instance.digest, "n": n, "word_class": word_class,
+        "recoded_from_kstep": instance.kstep is not None,
+    }
+    omega = instance.omega
+    if instance.kstep is not None:
+        rec = kstep.recode(instance.kstep, instance.matrices)
+        head["states"] = [list(s) for s in rec.states]
+        omega = rec.omega
+    words = brute_words(omega.entries.tolist(), n, word_class)
+    if fmt == "json":
+        count = {"stream_count": len(words), "transfer_count": len(words), "counts_agree": True}
+        return json.dumps({**head, "words": [list(w) for w in words], **count}, indent=2) + "\n"
+    lines = [" ".join(str(v) for v in w) for w in words]
+    return "\n".join([*lines, f"count: {len(words)} (transfer-matrix: {len(words)}, ok)"]) + "\n"
+
+
+def assert_words_streamed_as_materialised(path, n, word_class, batch):
+    with mock.patch.object(instancefile, "_WORD_BATCH", batch):
+        for fmt in ("json", "text"):
+            result = invoke("words", str(path), "--n", str(n), "--class", word_class, "--format", fmt)
+            assert result.exit_code == 0
+            assert result.stdout == words_materialised(path, n, word_class, fmt)
+
+
+CLASSES = ["chain", "markov", "infinite", "periodic"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(st.lists(st.integers(0, 1), min_size=size, max_size=size),
+                              min_size=size, max_size=size)
+    ),
+    st.integers(1, 7),
+    st.sampled_from(CLASSES),
+    st.sampled_from([1, 2, 3, 256]),
+)
+@example([[0]], 2, "chain", 256)  # a class with no words
+@example([[1, 0], [1, 0]], 3, "periodic", 1)
+def test_words_stream_the_materialised_report(tmp_path_factory, rows, n, word_class, batch):
+    path = write_instance(
+        tmp_path_factory.mktemp("words"),
+        {"dimension": 1, "field": "real", "matrices": [[[1]]] * len(rows), "omega": rows},
+    )
+    assert_words_streamed_as_materialised(path, n, word_class, batch)
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("word_class", CLASSES)
+def test_words_stream_the_materialised_kstep_report(n, word_class, batch):
+    assert_words_streamed_as_materialised(DATA / "kstep-order2.json", n, word_class, batch)
+
+
+class CharCounter:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_words_peak_memory_does_not_grow_with_the_output():
+    # 6.8 MB of JSON for 52,640 words; rendered whole, the word lists and
+    # the document took about 66 MB
+    written = CharCounter()
+    args = ["words", str(DATA / "sparse-chain.json"), "--n", "13", "--class", "chain", "--format", "json"]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(written):
+            cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert written.chars == 6_790_879
+    assert peak <= 4.0e6
+
+
 def test_bounds_upper_class_flag_changes_table_class(tmp_path):
     doc = {
         "dimension": 1,
@@ -958,12 +1052,16 @@ def test_command_line_parsing(args, code):
 # ------------------------------------------------------- console entry point
 
 
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 def run_python(*args) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout, run from tests/data."""
-    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     return subprocess.run(
-        [sys.executable, *args], cwd=DATA, capture_output=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, check=False,
+        [sys.executable, *args], cwd=DATA, capture_output=True, env=checkout_env(), check=False,
     )
 
 
@@ -990,6 +1088,21 @@ def test_module_run_keeps_the_exit_codes(tmp_path):
     invalid = run_module("kstep-recode", "sparse-chain.json")
     assert invalid.returncode == 3
     assert invalid.stdout == b""
+
+
+@pytest.mark.parametrize("fmt, first", [("text", b"1 " * 12 + b"1\n"), ("json", b"{\n")])
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_141(fmt, first):
+    # 1.4 MB of text, 6.8 MB of JSON: far more than a pipe holds, so the
+    # run is still writing when the reader goes
+    args = ["words", "sparse-chain.json", "--n", "13", "--class", "chain", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "markovjsr", *args], cwd=DATA, env=checkout_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline() == first
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert child.stderr.read() == b""  # no traceback
 
 
 @pytest.mark.parametrize("args, code", [(["--version"], 0), (["bounds", str(DATA / "nope.json")], 2)])

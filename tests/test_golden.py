@@ -9,9 +9,11 @@ per-word walkers, except kstep-bounds and kstep-verify: their n=1
 periodic value moved in the 12th digit to the mpmath value when LAPACK
 eigenvalues replaced the squaring kernel, and the four verify goldens,
 whose `spectral_tol` line moved from 1e-07 to 2e-09 when the tolerance
-was tightened to twice the kernel's.  Regenerate one only for an
+was tightened to twice the kernel's.  The two `.txt` goldens hold the
+text reports of the `words` cases, as the command printed them while it
+still listed every word before writing any.  Regenerate one only for an
 intended change of output, by running the command from tests/data with
-`--format json`.
+`--format json` (or `--format text`).
 """
 
 from pathlib import Path
@@ -44,7 +46,17 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_json_matches_golden(name):
+    assert_matches_golden(name, "json")
+
+
+@pytest.mark.parametrize("name", ["kstep-words", "sparse-words"])
+def test_cli_text_matches_golden(name):
+    assert_matches_golden(name, "text")
+
+
+def assert_matches_golden(name, fmt):
     args = [str(DATA / a) if a.endswith(".json") else a for a in CASES[name]]
-    result = invoke(*args, "--format", "json")
+    result = invoke(*args, "--format", fmt)
     assert result.exit_code == 0
-    assert result.stdout == (DATA / "golden" / f"{name}.json").read_text(encoding="utf-8")
+    suffix = ".json" if fmt == "json" else ".txt"
+    assert result.stdout == (DATA / "golden" / f"{name}{suffix}").read_text(encoding="utf-8")
