@@ -32,8 +32,10 @@ L**n fits, Python integers beyond.  ``_sweep`` takes from that single
 pass the counts and norm suprema of every length and class (each word
 adds to its level, its strictest class, one number from its first and
 last state; the nested classes gather the stricter levels after the
-loop) and the spectral suprema of the periodically extendable words,
-fed to the kernel through one buffer tagged by length.
+loop) and the spectral suprema of the periodically extendable words.
+Those words wait for the kernel as numerals tagged by length, not as
+products: a word's product is formed again, bitwise as ``_expand`` formed
+it, only when the word is sent to the kernel.
 The kernel sees at most one word per rotation class: rho is invariant
 under rotation (AB and BA have the same nonzero spectrum) and the
 periodic words of every automaton here are closed under rotation, so the
@@ -91,7 +93,7 @@ __all__ = [
 # A frontier chunk holds about _CHUNK_BYTES of products and word codes,
 # that is _CHUNK_BYTES // (d*d*itemsize + 8) words, but never fewer than
 # _MIN_CHUNK_ROWS: every numpy call has a fixed cost.  The spectral kernel
-# gets _KERNEL_CHUNKS chunks' worth of products per call.
+# gets the words of up to _KERNEL_CHUNKS chunks per flush.
 _CHUNK_BYTES = 1 << 15
 _MIN_CHUNK_ROWS = 48
 _KERNEL_CHUNKS = 8
@@ -389,6 +391,13 @@ def _sweep(
     first, then every other staged word that can still reach the raised
     supremum.  A skipped word would have returned less than the supremum,
     so every supremum is bitwise the same as without the caps.
+
+    A staged word is held as its numeral, tagged by its length, and a
+    flush forms the products of the words it sends to the kernel again.
+    They go in order of length, so the words longer than j letters are a
+    suffix of them, and their letter j + 1 multiplies on the left in one
+    matmul per letter position, as in ``_expand``: each product is
+    bitwise the one the chunk held.
     """
     shape = (n_max + 1, len(WordClass))
     counts = np.zeros(shape, dtype=np.int64)
@@ -396,27 +405,35 @@ def _sweep(
     periodic = WordClass.PERIODICALLY_EXTENDABLE.strictness
     letters, dim = automaton.step.shape[1], members.shape[-1]
     rows = _KERNEL_CHUNKS * _chunk_rows(members[0].nbytes)
-    buffer = np.empty((rows, *members.shape[1:]), members.dtype) if spectral else None
-    tags, caps = np.empty(rows, dtype=np.intp), np.empty(rows)
+    longest = max(spectral, default=0)
+    power = np.array([letters**j for j in range(longest)], dtype=_code_dtype(letters, longest))
+    codes, tags, caps = np.empty(rows, power.dtype), np.empty(rows, np.intp), np.empty(rows)
     fill = 0
 
     def reaches(bounds: np.ndarray, sup) -> np.ndarray:
         return bounds * (1 + REL_TOL) >= sup
 
+    def letter(code: np.ndarray, n: np.ndarray, j: int) -> np.ndarray:
+        """Letter j (0-based) of each length-n word."""
+        return (code // power[n - 1 - j] % letters).astype(np.intp, copy=False)
+
     def evaluate(staged: np.ndarray) -> None:
-        radii = spectral_radii(buffer[staged])
+        n, code = tags[staged], codes[staged]  # flush stages by ascending length
+        products = members[letter(code, n, 0)]
+        for j in range(1, n.max(initial=0)):
+            longer = slice(int((n <= j).sum()), None)
+            left = members[letter(code[longer], n[longer], j)]
+            products[longer] = np.matmul(left, products[longer])
+        radii = spectral_radii(products)
         _require_finite(radii, "spectral radius")
-        np.maximum.at(spectral_sup, tags[staged], radii)
+        np.maximum.at(spectral_sup, n, radii)
 
     def flush() -> None:
         nonlocal fill
-        tag, cap = tags[:fill], caps[:fill]
-        order = np.lexsort((-cap, tag))
-        tops = order[np.diff(tag[order], prepend=-1) != 0]
-        evaluate(tops)
-        rest = np.ones(fill, dtype=bool)
-        rest[tops] = False
-        evaluate(np.flatnonzero(rest & reaches(cap, spectral_sup[tag])))
+        order = np.lexsort((-caps[:fill], tags[:fill]))
+        top = np.diff(tags[order], prepend=-1) != 0
+        evaluate(order[top])
+        evaluate(order[~top & reaches(caps[order], spectral_sup[tags[order]])])
         fill = 0
 
     # overflow is reported as a ValidationError, not as a warning
@@ -435,16 +452,15 @@ def _sweep(
             kept = kept[_least_rotations(chunk.codes[kept], letters, n)]
             if not len(kept):
                 continue
-            chosen = chunk.products[kept]
-            bound = spectral_caps(chosen)
+            bound = spectral_caps(chunk.products[kept])
             reach = reaches(bound, spectral_sup[n])
-            chosen, bound = chosen[reach], bound[reach]
-            while len(chosen):
-                take = min(rows - fill, len(chosen))
+            word, bound = chunk.codes[kept[reach]], bound[reach]
+            while len(word):
+                take = min(rows - fill, len(word))
                 staged = slice(fill, fill + take)
-                buffer[staged], tags[staged], caps[staged] = chosen[:take], n, bound[:take]
+                codes[staged], tags[staged], caps[staged] = word[:take], n, bound[:take]
                 fill += take
-                chosen, bound = chosen[take:], bound[take:]
+                word, bound = word[take:], bound[take:]
                 if fill == rows:
                     flush()
         if fill:
@@ -606,8 +622,9 @@ def sandwich(
     report also carries the per-length chain-class cross bound.  A lower
     aggregate exceeding the upper one by more than a relative 1e-9
     cannot happen in exact arithmetic, only through rounding (products
-    that underflow, for one), and raises ValidationError, as do products
-    that overflow.
+    that underflow, or LAPACK's eigenvalues of an ill-conditioned
+    product, which can exceed its spectral radius by far more than
+    REL_TOL), and raises ValidationError, as do products that overflow.
 
     upper_class may be CHAIN, MARKOV, or INFINITELY_EXTENDABLE: those word
     sets split under concatenation, so their running minimum certifiably
@@ -650,7 +667,9 @@ def _sandwich_report(sweep: _Sweep, upper_class: WordClass) -> SandwichReport:
     if best_lower > best_upper * (1.0 + 1e-9):
         raise ValidationError(
             f"sandwich inverted: lower bound {best_lower} exceeds upper bound "
-            f"{best_upper}; matrix products that underflow at this scale do this"
+            f"{best_upper}; matrix products that underflow at this scale do this, "
+            "as does a kernel radius above the true one (LAPACK's eigenvalues of "
+            "an ill-conditioned product)"
         )
     return SandwichReport(
         upper=upper,

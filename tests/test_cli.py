@@ -380,6 +380,25 @@ def test_bounds_out_of_range_scale_is_validation_error(tmp_path, scale, n_max):
     assert "overflow" in result.stderr or "underflow" in result.stderr
 
 
+def test_bounds_inverted_by_an_ill_conditioned_product_names_the_kernel(tmp_path):
+    # trace 0 and determinant -2**-60, so rho = 2**-30 at every length;
+    # LAPACK returns 1.25e-8 at n 1, and the values are nowhere near underflow
+    eps = 2.0**-30
+    doc = {
+        "dimension": 2,
+        "field": "real",
+        "matrices": [[[1 + eps, 1], [-(1 + 2 * eps), -(1 + eps)]]],
+        "omega": [[1]],
+    }
+    path = write_instance(tmp_path, doc)
+    result = invoke("bounds", str(path), "--n-max", "2")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "sandwich inverted" in result.stderr
+    assert "a kernel radius above the true one" in result.stderr
+    assert "ill-conditioned product" in result.stderr
+
+
 # members 1e-170·I and 2e-170·I: the squares of their entries underflow
 TINY_DOC = {
     "dimension": 2,

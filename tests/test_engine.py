@@ -42,9 +42,12 @@ from markovjsr import (
     sandwich,
     spectral_radii,
 )
-from markovjsr import radius
+from markovjsr import kstep, radius
 from markovjsr.instancefile import load_instance
+from markovjsr.lift import lift_set
 from tests.conftest import fold_product, random_binary_rows, random_instance, window_class_words
+
+DATA = Path(__file__).resolve().parent / "data"
 
 NUMPY_NORMS = {
     NormKind.ROWSUM: lambda p: np.abs(p).sum(axis=1).max(),
@@ -54,8 +57,8 @@ NUMPY_NORMS = {
 
 
 def tiny_chunks(rows: int = 1):
-    """``rows`` words per chunk and eight chunks' worth of products per
-    spectral-kernel call."""
+    """``rows`` words per chunk and the words of up to eight chunks per
+    spectral-kernel flush."""
     stack = contextlib.ExitStack()
     stack.enter_context(mock.patch.object(radius, "_CHUNK_BYTES", 1))
     stack.enter_context(mock.patch.object(radius, "_MIN_CHUNK_ROWS", rows))
@@ -204,18 +207,31 @@ def test_no_chunk_is_a_slice_of_a_longer_array(rows, omega_rows):
             assert owner.nbytes == chunk.products.nbytes
 
 
-def test_sandwich_peak_memory_on_dense_spectral():
-    # 2 complex 16 x 16 members: each product is 4 KiB and 16,382 words are
-    # formed to n 13; the spectral buffer alone is 1.5 MB
-    instance = load_instance(Path(__file__).resolve().parent / "data" / "dense-spectral.json")
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, above what was traced before it."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        sandwich(instance.matrices, instance.omega, 13)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0e6
+
+
+def test_sandwich_peak_memory_on_dense_spectral():
+    # 2 complex 16 x 16 members: each product is 4 KiB and 16,382 words are
+    # formed to n 13.  About 2.2 MB; staging a flush's 384 words for the
+    # spectral kernel as products, not numerals, adds 1.57 MB
+    instance = load_instance(DATA / "dense-spectral.json")
+    assert _traced_peak(lambda: sandwich(instance.matrices, instance.omega, 13)) <= 2.6e6
+
+
+def test_full_verification_peak_memory_on_dense_spectral():
+    # the lifted products are 32 x 32 complex, 16 KiB each.  About 2.2 MB;
+    # staging a flush's words for the kernel as products, not numerals,
+    # takes it to 8.6 MB
+    instance = load_instance(DATA / "dense-spectral.json")
+    assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 6)) <= 3.0e6
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -338,13 +354,18 @@ def test_least_rotations_beyond_int64_numerals(letters, n):
     assert _least_rotations(words, letters) == expected
 
 
+def _alternating_instance() -> tuple[MatrixSet, TransitionMatrix]:
+    """Two 2 x 2 members of unit 2-norm whose letters must alternate."""
+    rng = np.random.default_rng(70)
+    members = [m / np.linalg.norm(m, 2) for m in rng.standard_normal((2, 2, 2))]
+    return MatrixSet.from_members(members), TransitionMatrix.from_rows([[0, 1], [1, 0]])
+
+
 def test_sweep_past_int64_codes():
     # 2**n passes 2**63 at n = 63: the codes of longer words are Python integers
     n = 70
-    om = TransitionMatrix.from_rows([[0, 1], [1, 0]])
-    rng = np.random.default_rng(70)
-    members = [m / np.linalg.norm(m, 2) for m in rng.standard_normal((2, 2, 2))]
-    mats = MatrixSet.from_members(members)
+    mats, om = _alternating_instance()
+    members = mats.members
 
     def alternating(length):
         return [tuple((a + j) % 2 + 1 for j in range(length)) for a in (0, 1)]
@@ -434,6 +455,81 @@ def test_kernel_sees_one_word_per_rotation_class(tiny):
         pruned.spectral_sup, spectral[:, WordClass.PERIODICALLY_EXTENDABLE.strictness],
         rtol=1e-12, atol=0,
     )
+
+
+def _kernel_inputs(call) -> list:
+    """Every matrix that ``call()`` sends to the spectral kernel."""
+    sent = []
+
+    def recording(stack):
+        sent.extend(stack.copy())
+        return spectral_radii(stack)
+
+    with mock.patch.object(radius, "spectral_radii", recording):
+        call()
+    return sent
+
+
+def _product_lengths(automaton, members, n_max, extend=None) -> dict:
+    """The length of every word that ``_expand`` forms, by the bytes of its
+    product."""
+    return {
+        product.tobytes(): chunk.n
+        for chunk in radius._expand(automaton, members, n_max, codes=True, extend=extend)
+        for product in chunk.products
+    }
+
+
+def _kernel_case(call: str, instance: str | None):
+    """A sweeping call with the spectral kernel, on a data file or, if
+    None, on the alternating instance to n 70, and the ``_expand`` walks
+    whose products it may send to the kernel."""
+    if instance is None:
+        (mats, om), n_max = _alternating_instance(), 70
+    else:
+        loaded = load_instance(DATA / f"{instance}.json")
+        mats, om, n_max = loaded.matrices, loaded.omega, 7
+    members = np.stack(mats.members)
+    if call == "kstep":
+        constraint = loaded.kstep
+        walk = (kstep._window_automaton(constraint), members, n_max + constraint.k - 1)
+        return partial(kstep._direct_bounds, constraint, mats, n_max, NormKind.ROWSUM), [walk]
+    walks = [(radius._Automaton.from_omega(om), members, n_max)]
+    if call == "sandwich":
+        return partial(sandwich, mats, om, n_max), walks
+    complete = radius._Automaton.from_omega(TransitionMatrix.complete(om.size))
+    walks.append((complete, np.stack(lift_set(mats, om).members), n_max, radius._nonzero))
+    return partial(full_verification, mats, om, n_max), walks
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+@pytest.mark.parametrize(
+    "call, instance",
+    [
+        ("sandwich", "sparse-chain"),
+        ("sandwich", "dense-spectral"),
+        ("sandwich", None),  # Python-integer numerals from n 63
+        ("full_verification", "sparse-chain"),  # the lifted sweep too
+        ("kstep", "kstep-order2"),  # the window rule of the direct side
+    ],
+)
+def test_kernel_inputs_are_bitwise_the_expanded_products(call, instance, tiny):
+    """The sweep stages a word as its numeral and forms its product again
+    when the word is sent to the kernel: that product is byte-equal to
+    the one ``_expand`` forms for the word."""
+    run, walks = _kernel_case(call, instance)
+    with tiny_chunks() if tiny else contextlib.nullcontext():
+        sent = _kernel_inputs(run)
+        lengths = {}
+        for walk in walks:
+            lengths.update(_product_lengths(*walk))
+    assert all(m.tobytes() in lengths for m in sent)
+    reached = {lengths[m.tobytes()] for m in sent}
+    assert len(reached) > 3
+    if instance is None:
+        assert max(reached) > 63
+    if call == "full_verification":
+        assert {m.shape for m in sent} == {(4, 4), (12, 12)}
 
 
 def test_caps_near_the_top_of_the_float_range_warn_nothing():
