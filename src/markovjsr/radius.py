@@ -13,29 +13,32 @@ products vanish" stay distinguishable.
 Every supremum comes from one product engine.  ``_expand`` walks the
 words of an automaton (the state of a word is its last letter, or its
 last k letters under an order-k rule) depth-first over chunks: a chunk's
-children are ``np.matmul(A[letter], P[parent])``, parent-major with
-letters ascending, and join a queue of words waiting at their length.
-When every parent takes every letter (a complete alphabet, as in the
-lift oracle), that matmul is the broadcast ``np.matmul(A, P[:, None])``,
-bitwise the same products in the same order, with no gathered copies.
-A chunk is yielded as soon as a queue holds a full one (about
-``_CHUNK_BYTES`` of products, at least ``_MIN_CHUNK_ROWS`` words),
-deepest length first, and each length's remainder once every shorter
-length is done; so each length comes out in lexicographic order, in full
-chunks.  The children are formed in pieces cut where those chunks will
-end, so no chunk is a slice of a longer array that would keep words
-already walked in memory.  A keep mask per chunk may stop the walk below
-some words: the dense lift oracle extends no word whose lifted product
-is exactly zero, as no extension of it can raise a supremum.  A word
-carries no letters, only its base-L numeral (L letters): int64 while
-L**n fits, Python integers beyond.  ``_sweep`` takes from that single
-pass the counts and norm suprema of every length and class (each word
-adds to its level, its strictest class, one number from its first and
-last state; the nested classes gather the stricter levels after the
-loop) and the spectral suprema of the periodically extendable words.
-Those words wait for the kernel as numerals tagged by length, not as
-products: a word's product is formed again, bitwise as ``_expand`` formed
-it, only when the word is sent to the kernel.
+children, parent-major with letters ascending, join a queue of words
+waiting at their length.  A chunk is yielded as soon as a queue holds a
+full one (about ``_CHUNK_BYTES`` of products, at least
+``_MIN_CHUNK_ROWS`` words), deepest length first, and each length's
+remainder once every shorter length is done; so each length comes out in
+lexicographic order, in full chunks.  The children wait in pieces cut
+where those chunks will end, as their parents' products, and a piece's
+own products, ``np.matmul(A[letter], P[parent])``, are formed only when
+the chunk it falls in is taken: a waiting word costs a share of its
+parent, not a product of its own, and no chunk is a slice of a longer
+array that would keep words already walked in memory.  When every parent
+takes every letter (a complete alphabet, as in the lift oracle), a piece
+of whole parents is the broadcast ``np.matmul(A, P[:, None])``, bitwise
+the same products in the same order, with no gathered copies.  A keep
+mask per chunk may stop the walk below some words: the dense lift oracle
+extends no word whose lifted product is exactly zero, as no extension of
+it can raise a supremum.  A word carries no letters, only its base-L
+numeral (L letters): int64 while L**n fits, Python integers beyond.
+``_sweep`` takes from that single pass the counts and norm suprema of
+every length and class (each word adds to its level, its strictest
+class, one number from its first and last state; the nested classes
+gather the stricter levels after the loop) and the spectral suprema of
+the periodically extendable words.  Those words wait for the kernel as
+numerals tagged by length, not as products: a word's product is formed
+again, bitwise as ``_expand`` formed it, only when the word is sent to
+the kernel.
 The kernel sees at most one word per rotation class: rho is invariant
 under rotation (AB and BA have the same nonzero spectrum) and the
 periodic words of every automaton here are closed under rotation, so the
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -183,11 +186,27 @@ class _Chunk:
         return _Chunk(self.n, *(None if a is None else a[rows] for a in self._arrays()))
 
     @staticmethod
-    def join(pieces: list["_Chunk"]) -> "_Chunk":
+    def join(n: int, pieces: list[_Piece]) -> "_Chunk":
+        """The words of ``pieces`` in order, their products formed now."""
         if len(pieces) == 1:
-            return pieces[0]
-        columns = zip(*(p._arrays() for p in pieces))
-        return _Chunk(pieces[0].n, *(None if c[0] is None else np.concatenate(c) for c in columns))
+            first, state, form, codes = pieces[0]
+            return _Chunk(n, first, state, None if form is None else form(), codes)
+        first, state, form, codes = zip(*pieces)
+        products = (None,) if form[0] is None else [f() for f in form]
+        return _Chunk(n, *(
+            None if c[0] is None else c[0] if len(c) == 1 else np.concatenate(c)
+            for c in (first, state, products, codes)
+        ))
+
+
+class _Piece(NamedTuple):
+    """Words of one length waiting in their queue, and what forms their
+    products when the chunk they fall in is taken (None: no products)."""
+
+    first: np.ndarray
+    state: np.ndarray
+    form: Callable[[], np.ndarray] | None
+    codes: np.ndarray | None
 
 
 def _code_dtype(letters: int, n: int) -> type:
@@ -202,11 +221,21 @@ def _cuts(count: int, room: int, rows: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
 
 
+def _form(members: np.ndarray, parents: np.ndarray, letter: np.ndarray | None, parent) -> np.ndarray:
+    """``members[letter[i]] @ parents[parent[i]]`` for each i; with no
+    ``letter``, every letter on each of ``parents[parent]`` (a slice of
+    whole parents), parent-major, as one broadcast product with no gathered
+    copy of members or parents, bitwise the same."""
+    if letter is None:
+        return np.matmul(members, parents[parent, None]).reshape(-1, *members.shape[1:])
+    return np.matmul(members[letter], parents[parent])
+
+
 def _children(
     automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, room: int, rows: int
-) -> list[_Chunk]:
+) -> list[_Piece]:
     """The extensions by one letter of the words of a chunk, in the pieces
-    of ``_cuts``, each with products of its own."""
+    of ``_cuts``, each with the ``_form`` of its products."""
     parent, letter = np.nonzero(automaton.allowed[chunk.state])
     state = automaton.step[chunk.state[parent], letter]
     first = state if chunk.n < automaton.head.shape[1] else chunk.first[parent]
@@ -216,22 +245,22 @@ def _children(
         dtype = _code_dtype(letters, chunk.n + 1)
         codes = chunk.codes[parent].astype(dtype, copy=False) * letters
         codes += letter.astype(dtype, copy=False)
-    # every parent takes every letter: a piece of whole parents is one
-    # broadcast product, in the order of np.nonzero, and no gathered copy
-    # of members or parents
     complete = len(letter) == letters * len(chunk)
+    parents = chunk.products
     pieces = []
-    for a, b in _cuts(len(letter), room, rows):
-        if members is None:
-            products = None
-        elif complete and a % letters == b % letters == 0:
-            whole = chunk.products[a // letters:b // letters, None]
-            products = np.matmul(members, whole).reshape(-1, *members.shape[1:])
-        else:
-            products = np.matmul(members[letter[a:b]], chunk.products[parent[a:b]])
-        pieces.append(_Chunk(
-            chunk.n + 1, first[a:b], state[a:b], products, None if codes is None else codes[a:b]
-        ))
+    for i, (a, b) in enumerate(_cuts(len(letter), room, rows)):
+        form = None
+        if members is not None:
+            if i == 1:
+                # the first piece closes the chunk taken next; the later ones
+                # wait, with a copy of the parents they need, not the chunk
+                low = parent[a]
+                parents, parent = parents[low:parent[-1] + 1].copy(), parent - low
+            if complete and a % letters == b % letters == 0:
+                form = partial(_form, members, parents, None, slice(parent[a], parent[b - 1] + 1))
+            else:
+                form = partial(_form, members, parents, letter[a:b], parent[a:b])
+        pieces.append(_Piece(first[a:b], state[a:b], form, None if codes is None else codes[a:b]))
     return pieces
 
 
@@ -252,24 +281,30 @@ def _expand(
 
     ``members`` is the (L, d, d) stack of letter matrices, or None to form
     no products; ``codes`` keeps each word as its base-L numeral.  Words
-    formed but not yet yielded wait in a queue per length, which a
-    chunk's children join in order.  The deepest queue that holds a full
-    chunk of ``rows`` words yields one; when none does, the shortest
-    length with words left (every shorter one is done) yields its
-    remainder.  So every chunk but the last of each length is full, each
-    length arrives in lexicographic order, and fewer than ``rows`` words
-    plus one chunk's children wait at any length.  The walk keeps no
-    recursion, so n_max is not bounded by the recursion limit.
+    not yet yielded wait in a queue per length, which a chunk's children
+    join in order.  The deepest queue that holds a full chunk of ``rows``
+    words yields one; when none does, the shortest length with words left
+    (every shorter one is done) yields its remainder.  So every chunk but
+    the last of each length is full, each length arrives in lexicographic
+    order, and fewer than ``rows`` words plus one chunk's children wait at
+    any length.  The walk keeps no recursion, so n_max is not bounded by
+    the recursion limit.
 
     A queue holds fewer than ``rows`` words whenever a shorter length
-    yields, so a chunk's children are formed in pieces cut where the
-    chunks of their length will end (``_cuts``, given the room left in
-    their queue), each piece with products of its own.  A chunk is then
-    one piece as it is, or several joined into a copy, and never a view
-    of a longer array, which would keep the products of words already
-    yielded in memory until its last word was.  (The pieces of one
-    chunk's children share its first, state and code arrays, a few bytes
-    a word.)
+    yields, so a chunk's children are cut into pieces where the chunks of
+    their length will end (``_cuts``, given the room left in their
+    queue).  A piece waits as its first, state and code arrays and the
+    recipe of its products (``_form``: the parents' products, the parent
+    rows and the letters), and its products are formed only when the
+    chunk it falls in is taken.  The first piece closes the chunk taken
+    next; the later ones keep a copy of just the parents they need, not
+    the parent chunk.  So a length keeps at most one chunk's parents
+    waiting, where its waiting children would be up to L times as many
+    products (L letters).  A chunk is then one piece as formed, or several
+    joined into a copy, and never a view of a longer array, which would
+    keep the products of words already yielded in memory until its last
+    word was.  (The pieces of one chunk's children share its first,
+    state and code arrays, a few bytes a word.)
 
     ``extend``, if given, maps a yielded chunk to a mask of the words to
     extend: the others get no children, so of every longer length only
@@ -278,14 +313,18 @@ def _expand(
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
     state = automaton.starts[letters]
-    queues: list[list[_Chunk]] = [[], [        # by length; index 0 unused
-        _Chunk(
-            1, state[a:b], state[a:b],
-            None if members is None else members[letters[a:b]],
+    queues: list[list[_Piece]] = [[], [        # by length; index 0 unused
+        _Piece(
+            state[a:b], state[a:b],
+            None if members is None else partial(np.take, members, letters[a:b], axis=0),
             letters[a:b].astype(np.int64) if codes else None,
         )
         for a, b in _cuts(len(letters), rows, rows)
     ]]
+
+    def waiting(n: int) -> int:
+        return sum(len(piece.state) for piece in queues[n])
+
     n = low = 1                                 # lengths below low are done
     while low < len(queues):
         if n < low:  # no queue is full, and the shortest one left gets no more words
@@ -293,15 +332,15 @@ def _expand(
             taken = len(queues[n])
             if not taken:
                 continue
-        elif sum(map(len, queues[n])) >= rows:
+        elif waiting(n) >= rows:
             taken = size = 0
             while size < rows:  # the first pieces end where the chunk does
-                size += len(queues[n][taken])
+                size += len(queues[n][taken].state)
                 taken += 1
         else:
             n -= 1  # every queue deeper than n is short of a chunk
             continue
-        chunk = _Chunk.join(queues[n][:taken])
+        chunk = _Chunk.join(n, queues[n][:taken])
         del queues[n][:taken]
         yield chunk
         if n < n_max:
@@ -310,7 +349,7 @@ def _expand(
             if len(queues) == n + 1:
                 queues.append([])
             n += 1
-            queues[n] += _children(automaton, members, chunk, rows - sum(map(len, queues[n])), rows)
+            queues[n] += _children(automaton, members, chunk, rows - waiting(n), rows)
 
 
 def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:

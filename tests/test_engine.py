@@ -220,10 +220,12 @@ def _traced_peak(call) -> int:
 
 def test_sandwich_peak_memory_on_dense_spectral():
     # 2 complex 16 x 16 members: each product is 4 KiB and 16,382 words are
-    # formed to n 13.  About 2.2 MB; staging a flush's 384 words for the
-    # spectral kernel as products, not numerals, adds 1.57 MB
+    # formed to n 13.  About 1.5 MB: the children waiting at each length
+    # wait as at most 24 parents (96 KiB), where formed they were 48
+    # products (192 KiB), 2.2 MB in all; staging a flush's 384 words for
+    # the spectral kernel as products, not numerals, adds 1.57 MB
     instance = load_instance(DATA / "dense-spectral.json")
-    assert _traced_peak(lambda: sandwich(instance.matrices, instance.omega, 13)) <= 2.6e6
+    assert _traced_peak(lambda: sandwich(instance.matrices, instance.omega, 13)) <= 1.9e6
 
 
 def test_full_verification_peak_memory_on_dense_spectral():
@@ -232,6 +234,14 @@ def test_full_verification_peak_memory_on_dense_spectral():
     # takes it to 8.6 MB
     instance = load_instance(DATA / "dense-spectral.json")
     assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 6)) <= 3.0e6
+
+
+def test_full_verification_peak_memory_on_dense_spectral_to_n_10():
+    # the lifted sweep keeps words waiting at up to 10 lengths.  About
+    # 4.6 MB; children that waited as formed products, not as their
+    # parents, took it to 6.3 MB
+    instance = load_instance(DATA / "dense-spectral.json")
+    assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 10)) <= 5.5e6
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -761,14 +771,14 @@ def test_lifted_sweep_forms_few_products():
     mats = MatrixSet.from_members(list(np.random.default_rng(0).standard_normal((3, 2, 2))))
     lifted_dim = om.size * mats.dim
     formed = []
-    children = radius._children
+    form = radius._form
 
-    def counted(automaton, members, chunk, *cuts):
-        pieces = children(automaton, members, chunk, *cuts)
-        if members is not None and members.shape[-1] == lifted_dim:
-            formed.append(sum(map(len, pieces)))
-        return pieces
+    def counted(members, *recipe):
+        products = form(members, *recipe)
+        if members.shape[-1] == lifted_dim:
+            formed.append(len(products))
+        return products
 
-    with mock.patch.object(radius, "_children", counted):
+    with mock.patch.object(radius, "_form", counted):
         assert full_verification(mats, om, 9).passed
     assert 0 < sum(formed) <= 5000
