@@ -193,18 +193,11 @@ def sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _entry_out(value: complex, field: str, rounded: bool):
+def _matrix_out(arr: np.ndarray, field: str, rounded: bool):
     conv = sig12 if rounded else float
     if field == "complex":
-        return [conv(value.real), conv(value.imag)]
-    return conv(value.real)
-
-
-def _matrix_out(arr: np.ndarray, field: str, rounded: bool):
-    return [
-        [_entry_out(complex(arr[r, c]), field, rounded) for c in range(arr.shape[1])]
-        for r in range(arr.shape[0])
-    ]
+        return [[[conv(v.real), conv(v.imag)] for v in row] for row in arr.tolist()]
+    return [[conv(v) for v in row] for row in arr.tolist()]
 
 
 def instance_document(

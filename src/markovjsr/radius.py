@@ -176,14 +176,8 @@ class _Chunk:
     products: np.ndarray | None     # (W, d, d)
     codes: np.ndarray | None        # (W,) base-L numerals of the 0-based letters
 
-    def _arrays(self) -> tuple:
-        return self.first, self.state, self.products, self.codes
-
     def __len__(self) -> int:
         return len(self.state)
-
-    def __getitem__(self, rows: slice | np.ndarray) -> "_Chunk":
-        return _Chunk(self.n, *(None if a is None else a[rows] for a in self._arrays()))
 
     @staticmethod
     def join(n: int, pieces: list[_Piece]) -> "_Chunk":
@@ -232,11 +226,15 @@ def _form(members: np.ndarray, parents: np.ndarray, letter: np.ndarray | None, p
 
 
 def _children(
-    automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, room: int, rows: int
+    automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, keep: np.ndarray | None,
+    room: int, rows: int,
 ) -> list[_Piece]:
-    """The extensions by one letter of the words of a chunk, in the pieces
-    of ``_cuts``, each with the ``_form`` of its products."""
-    parent, letter = np.nonzero(automaton.allowed[chunk.state])
+    """The extensions by one letter of the words of a chunk, or of the
+    words ``keep`` marks if it is not None, in the pieces of ``_cuts``,
+    each with the ``_form`` of its products.  A parent is a row of the
+    chunk itself, which is not copied."""
+    allowed = automaton.allowed[chunk.state]
+    parent, letter = np.nonzero(allowed if keep is None else allowed & keep[:, None])
     state = automaton.step[chunk.state[parent], letter]
     first = state if chunk.n < automaton.head.shape[1] else chunk.first[parent]
     letters = automaton.step.shape[1]
@@ -307,8 +305,9 @@ def _expand(
     state and code arrays, a few bytes a word.)
 
     ``extend``, if given, maps a yielded chunk to a mask of the words to
-    extend: the others get no children, so of every longer length only
-    the words whose proper prefixes were all kept are formed.
+    extend, the parents that ``_children`` takes: the others get no
+    children, so of every longer length only the words whose proper
+    prefixes were all kept are formed.  The chunk is not copied.
     """
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
@@ -344,12 +343,11 @@ def _expand(
         del queues[n][:taken]
         yield chunk
         if n < n_max:
-            if extend is not None:
-                chunk = chunk[extend(chunk)]
+            keep = None if extend is None else extend(chunk)
             if len(queues) == n + 1:
                 queues.append([])
             n += 1
-            queues[n] += _children(automaton, members, chunk, rows - waiting(n), rows)
+            queues[n] += _children(automaton, members, chunk, keep, rows - waiting(n), rows)
 
 
 def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:

@@ -244,6 +244,14 @@ def test_full_verification_peak_memory_on_dense_spectral_to_n_10():
     assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 10)) <= 5.5e6
 
 
+def test_full_verification_peak_memory_on_sparse_chain():
+    # the lift prunes most words (zero products get no children).  About
+    # 0.52 MB: the first piece of a chunk's children holds the products of
+    # the whole chunk, 0.46 MB when it held a copy of just the kept words
+    instance = load_instance(DATA / "sparse-chain.json")
+    assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 9)) <= 0.6e6
+
+
 @pytest.mark.parametrize("rows", [None, 1, 2])
 @pytest.mark.parametrize("complex_field", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 5, 16])
@@ -679,6 +687,10 @@ def _kept(code: int, n: int) -> bool:
     return (3 * code + n) % 4 != 1
 
 
+def _kept_mask(chunk) -> np.ndarray:
+    return np.array([_kept(code, chunk.n) for code in chunk.codes.tolist()], dtype=bool)
+
+
 @pytest.mark.parametrize("rows", [1, 5])
 @pytest.mark.parametrize(
     "omega_rows",
@@ -693,14 +705,11 @@ def test_engine_extends_only_the_kept_words(rows, omega_rows):
     automaton = radius._Automaton.from_omega(om)
     n_max, size = 7, om.size
 
-    def extend(chunk):
-        return np.array([_kept(code, chunk.n) for code in chunk.codes.tolist()], dtype=bool)
-
     def code(word):
         return sum(letter * size ** (len(word) - 1 - j) for j, letter in enumerate(word))
 
     with tiny_chunks(rows):
-        chunks = list(radius._expand(automaton, None, n_max, codes=True, extend=extend))
+        chunks = list(radius._expand(automaton, None, n_max, codes=True, extend=_kept_mask))
     for n in range(1, n_max + 1):
         at_n = [c for c in chunks if c.n == n]
         chain = [
@@ -716,6 +725,47 @@ def test_engine_extends_only_the_kept_words(rows, omega_rows):
         assert all(len(c) == rows for c in at_n[:-1])
         assert not at_n or 0 < len(at_n[-1]) <= rows
     assert max(c.n for c in chunks) >= 5
+
+
+@pytest.mark.parametrize("rows", [None, 1, 5])
+@pytest.mark.parametrize(
+    "omega_rows",
+    [
+        [[1, 1, 0], [1, 0, 1], [1, 1, 1]],
+        [[1, 1, 0], [1, 0, 0], [0, 1, 0]],  # letter 3 is dead: nothing may follow it
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: unmasked pieces are broadcast
+    ],
+)
+def test_a_keep_mask_leaves_every_formed_product_as_it_was(rows, omega_rows):
+    # the mask picks the parents in the yielded chunk itself; a kept word's
+    # product is the one the unmasked walk forms, byte for byte
+    om = TransitionMatrix.from_rows(omega_rows)
+    automaton = radius._Automaton.from_omega(om)
+    members = np.random.default_rng(3).standard_normal((om.size, 3, 3))
+
+    def stream(extend):
+        return [
+            (c.n, c.first.tobytes(), c.state.tobytes(), c.codes.tolist(), c.products.tobytes())
+            for c in radius._expand(automaton, members, 7, codes=True, extend=extend)
+        ]
+
+    with tiny_chunks(rows) if rows else contextlib.nullcontext():
+        unmasked, kept = stream(None), stream(_kept_mask)
+        every = stream(lambda chunk: np.ones(len(chunk), dtype=bool))
+        none = stream(lambda chunk: np.zeros(len(chunk), dtype=bool))
+    assert every == unmasked
+    assert [(n, c) for n, _, _, codes, _ in none for c in codes] == [(1, c) for c in range(om.size)]
+
+    def products(chunks) -> dict:
+        size = members[0].nbytes
+        return {
+            (n, code): data[i * size:(i + 1) * size]
+            for n, _, _, codes, data in chunks for i, code in enumerate(codes)
+        }
+
+    formed, pruned = products(unmasked), products(kept)
+    assert all(formed[word] == product for word, product in pruned.items())
+    assert len(pruned) < len(formed) and max(n for n, _ in pruned) >= 5
 
 
 def unpruned():
