@@ -18,15 +18,16 @@ waiting at their length.  A chunk is yielded as soon as a queue holds a
 full one (about ``_CHUNK_BYTES`` of products, at least
 ``_MIN_CHUNK_ROWS`` words), deepest length first, and each length's
 remainder once every shorter length is done; so each length comes out in
-lexicographic order, in full chunks.  The children wait in pieces cut
-where those chunks will end, as their parents' products, and a piece's
-own products, ``np.matmul(A[letter], P[parent])``, are formed only when
-the chunk it falls in is taken: a waiting word costs a share of its
-parent, not a product of its own, and no chunk is a slice of a longer
-array that would keep words already walked in memory.  When every parent
-takes every letter (a complete alphabet, as in the lift oracle), a piece
-of whole parents is the broadcast ``np.matmul(A, P[:, None])``, bitwise
-the same products in the same order, with no gathered copies.  A keep
+lexicographic order, in full chunks.  A chunk's children wait as one
+brood, as their parents' products, and are cut only when a chunk is
+taken: the taken words' products, ``np.matmul(A[letter], P[parent])``,
+are formed then, and the brood keeps a copy of just the parents its
+words left still need.  So a waiting word costs a share of its parent,
+not a product of its own, and no chunk is a slice of a longer array that
+would keep words already walked in memory.  When every parent takes
+every letter (a complete alphabet, as in the lift oracle), a take of
+whole parents is the broadcast ``np.matmul(A, P[:, None])``, bitwise the
+same products in the same order, with no gathered copies.  A keep
 mask per chunk may stop the walk below some words: the dense lift oracle
 extends no word whose lifted product is exactly zero, as no extension of
 it can raise a supremum.  A word carries no letters, only its base-L
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -179,28 +180,47 @@ class _Chunk:
     def __len__(self) -> int:
         return len(self.state)
 
-    @staticmethod
-    def join(n: int, pieces: list[_Piece]) -> "_Chunk":
-        """The words of ``pieces`` in order, their products formed now."""
-        if len(pieces) == 1:
-            first, state, form, codes = pieces[0]
-            return _Chunk(n, first, state, None if form is None else form(), codes)
-        first, state, form, codes = zip(*pieces)
-        products = (None,) if form[0] is None else [f() for f in form]
-        return _Chunk(n, *(
-            None if c[0] is None else c[0] if len(c) == 1 else np.concatenate(c)
-            for c in (first, state, products, codes)
-        ))
 
-
-class _Piece(NamedTuple):
-    """Words of one length waiting in their queue, and what forms their
-    products when the chunk they fall in is taken (None: no products)."""
+@dataclass(eq=False)
+class _Brood:
+    """The extensions by one letter of one chunk's words (or the roots),
+    waiting in their queue as their parents' products; the first ``taken``
+    are gone.  ``parents[parent[i]]`` is word i's parent (no parents: a
+    root), and ``complete`` says every parent takes every letter."""
 
     first: np.ndarray
     state: np.ndarray
-    form: Callable[[], np.ndarray] | None
     codes: np.ndarray | None
+    letter: np.ndarray
+    parent: np.ndarray | None = None
+    parents: np.ndarray | None = None
+    complete: bool = False
+    taken: int = 0
+
+    def __len__(self) -> int:
+        return len(self.state) - self.taken
+
+    def take(self, size: int, members: np.ndarray | None) -> tuple:
+        """The first, state, products and codes of the next ``size`` words
+        (or of all that are left), the products formed now.  The parents
+        the words left still need are kept as a copy, not the whole."""
+        a = self.taken
+        b = self.taken = min(a + size, len(self.state))
+        if members is None:
+            products = None
+        elif self.parents is None:
+            products = members[self.letter[a:b]]
+        elif self.complete and a % len(members) == b % len(members) == 0:
+            # whole parents: one broadcast product, no gathered copies
+            parents = self.parents[self.parent[a]:self.parent[b - 1] + 1, None]
+            products = np.matmul(members, parents).reshape(-1, *members.shape[1:])
+        else:
+            products = np.matmul(members[self.letter[a:b]], self.parents[self.parent[a:b]])
+        if self.parents is not None and b < len(self.state):
+            low = self.parent[b]
+            self.parents = self.parents[low:self.parent[-1] + 1].copy()
+            self.parent[b:] -= low
+        return self.first[a:b], self.state[a:b], products, None if self.codes is None else self.codes[a:b]
 
 
 def _code_dtype(letters: int, n: int) -> type:
@@ -208,30 +228,11 @@ def _code_dtype(letters: int, n: int) -> type:
     return np.int64 if letters**n < 2**63 else object
 
 
-def _cuts(count: int, room: int, rows: int) -> list[tuple[int, int]]:
-    """``count`` words in pieces: the first of at most ``room`` words,
-    then ``rows`` words each; no piece is empty."""
-    ends = [0, *range(room, count, rows), count]
-    return [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
-
-
-def _form(members: np.ndarray, parents: np.ndarray, letter: np.ndarray | None, parent) -> np.ndarray:
-    """``members[letter[i]] @ parents[parent[i]]`` for each i; with no
-    ``letter``, every letter on each of ``parents[parent]`` (a slice of
-    whole parents), parent-major, as one broadcast product with no gathered
-    copy of members or parents, bitwise the same."""
-    if letter is None:
-        return np.matmul(members, parents[parent, None]).reshape(-1, *members.shape[1:])
-    return np.matmul(members[letter], parents[parent])
-
-
 def _children(
     automaton: _Automaton, members: np.ndarray | None, chunk: _Chunk, keep: np.ndarray | None,
-    room: int, rows: int,
-) -> list[_Piece]:
+) -> _Brood:
     """The extensions by one letter of the words of a chunk, or of the
-    words ``keep`` marks if it is not None, in the pieces of ``_cuts``,
-    each with the ``_form`` of its products.  A parent is a row of the
+    words ``keep`` marks if it is not None.  A parent is a row of the
     chunk itself, which is not copied."""
     allowed = automaton.allowed[chunk.state]
     parent, letter = np.nonzero(allowed if keep is None else allowed & keep[:, None])
@@ -244,22 +245,7 @@ def _children(
         codes = chunk.codes[parent].astype(dtype, copy=False) * letters
         codes += letter.astype(dtype, copy=False)
     complete = len(letter) == letters * len(chunk)
-    parents = chunk.products
-    pieces = []
-    for i, (a, b) in enumerate(_cuts(len(letter), room, rows)):
-        form = None
-        if members is not None:
-            if i == 1:
-                # the first piece closes the chunk taken next; the later ones
-                # wait, with a copy of the parents they need, not the chunk
-                low = parent[a]
-                parents, parent = parents[low:parent[-1] + 1].copy(), parent - low
-            if complete and a % letters == b % letters == 0:
-                form = partial(_form, members, parents, None, slice(parent[a], parent[b - 1] + 1))
-            else:
-                form = partial(_form, members, parents, letter[a:b], parent[a:b])
-        pieces.append(_Piece(first[a:b], state[a:b], form, None if codes is None else codes[a:b]))
-    return pieces
+    return _Brood(first, state, codes, letter, parent, chunk.products, complete)
 
 
 def _chunk_rows(row_bytes: int) -> int:
@@ -288,21 +274,18 @@ def _expand(
     any length.  The walk keeps no recursion, so n_max is not bounded by
     the recursion limit.
 
-    A queue holds fewer than ``rows`` words whenever a shorter length
-    yields, so a chunk's children are cut into pieces where the chunks of
-    their length will end (``_cuts``, given the room left in their
-    queue).  A piece waits as its first, state and code arrays and the
-    recipe of its products (``_form``: the parents' products, the parent
-    rows and the letters), and its products are formed only when the
-    chunk it falls in is taken.  The first piece closes the chunk taken
-    next; the later ones keep a copy of just the parents they need, not
-    the parent chunk.  So a length keeps at most one chunk's parents
-    waiting, where its waiting children would be up to L times as many
-    products (L letters).  A chunk is then one piece as formed, or several
-    joined into a copy, and never a view of a longer array, which would
-    keep the products of words already yielded in memory until its last
-    word was.  (The pieces of one chunk's children share its first,
-    state and code arrays, a few bytes a word.)
+    A chunk's children wait as one ``_Brood``: their first, state, code,
+    parent and letter arrays and their parents' products, the chunk's
+    own.  A chunk is taken from the front broods of its queue, and only
+    then are its words' products formed, ``np.matmul(A[letter],
+    P[parent])``, or, for whole parents of a complete brood, the broadcast
+    ``np.matmul(A, P[:, None])``, bitwise the same.  A brood with words
+    left after a take keeps a copy of just the parents they need, so a
+    length keeps about one chunk's parents waiting, where its waiting
+    children would be up to L times as many products (L letters).  A
+    chunk is then one take as formed, or several joined into a copy, and
+    never a view of a longer array, which would keep the products of
+    words already yielded in memory until its last word was.
 
     ``extend``, if given, maps a yielded chunk to a mask of the words to
     extend, the parents that ``_children`` takes: the others get no
@@ -312,42 +295,37 @@ def _expand(
     rows = _chunk_rows((0 if members is None else members[0].nbytes) + (8 if codes else 0))
     letters = np.flatnonzero(automaton.starts >= 0)
     state = automaton.starts[letters]
-    queues: list[list[_Piece]] = [[], [        # by length; index 0 unused
-        _Piece(
-            state[a:b], state[a:b],
-            None if members is None else partial(np.take, members, letters[a:b], axis=0),
-            letters[a:b].astype(np.int64) if codes else None,
-        )
-        for a, b in _cuts(len(letters), rows, rows)
-    ]]
-
-    def waiting(n: int) -> int:
-        return sum(len(piece.state) for piece in queues[n])
-
+    roots = _Brood(state, state, letters.astype(np.int64) if codes else None, letters)
+    queues: list[list[_Brood]] = [[], [roots]]  # by length; index 0 unused
     n = low = 1                                 # lengths below low are done
     while low < len(queues):
         if n < low:  # no queue is full, and the shortest one left gets no more words
             n, low = low, low + 1
-            taken = len(queues[n])
-            if not taken:
-                continue
-        elif waiting(n) >= rows:
-            taken = size = 0
-            while size < rows:  # the first pieces end where the chunk does
-                size += len(queues[n][taken].state)
-                taken += 1
-        else:
+        elif sum(map(len, queues[n])) < rows:
             n -= 1  # every queue deeper than n is short of a chunk
             continue
-        chunk = _Chunk.join(n, queues[n][:taken])
-        del queues[n][:taken]
+        size = min(rows, sum(map(len, queues[n])))
+        if not size:
+            continue
+        takes = []
+        while size:
+            takes.append(queues[n][0].take(size, members))
+            size -= len(takes[-1][1])
+            if not len(queues[n][0]):
+                del queues[n][0]
+        chunk = _Chunk(n, *(
+            c[0] if c[0] is None or len(c) == 1 else np.concatenate(c) for c in zip(*takes)
+        ))
+        del takes  # the pieces of a joined chunk are a second copy
         yield chunk
         if n < n_max:
             keep = None if extend is None else extend(chunk)
             if len(queues) == n + 1:
                 queues.append([])
             n += 1
-            queues[n] += _children(automaton, members, chunk, keep, rows - waiting(n), rows)
+            queues[n].append(_children(automaton, members, chunk, keep))
+            if not len(queues[n][-1]):  # an empty brood would keep the chunk's products
+                del queues[n][-1]
 
 
 def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterator[tuple]:

@@ -192,7 +192,7 @@ def test_engine_yields_full_chunks_per_length(rows, omega_rows):
 @pytest.mark.parametrize(
     "omega_rows",
     [
-        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: pieces of whole parents are broadcast
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: takes of whole parents are broadcast
         [[1, 1, 0], [1, 0, 1], [1, 1, 1]],  # one, two and three successors
     ],
 )
@@ -246,10 +246,20 @@ def test_full_verification_peak_memory_on_dense_spectral_to_n_10():
 
 def test_full_verification_peak_memory_on_sparse_chain():
     # the lift prunes most words (zero products get no children).  About
-    # 0.52 MB: the first piece of a chunk's children holds the products of
-    # the whole chunk, 0.46 MB when it held a copy of just the kept words
+    # 0.50 MB: a chunk's children hold the products of the whole chunk
+    # until their first take, and then a copy of the rows from the first
+    # parent still needed to the last, kept or not; 0.46 MB when they held
+    # a copy of just the kept words
     instance = load_instance(DATA / "sparse-chain.json")
     assert _traced_peak(lambda: full_verification(instance.matrices, instance.omega, 9)) <= 0.6e6
+
+
+def test_sandwich_peak_memory_on_sparse_chain():
+    # 3 real 2 x 2 members, 32-byte products.  About 0.48 MB: children that
+    # span three chunks shrink their copy of the parents at each take;
+    # 0.60 MB when they were cut into pieces that shared one copy
+    instance = load_instance(DATA / "sparse-chain.json")
+    assert _traced_peak(lambda: sandwich(instance.matrices, instance.omega, 13)) <= 0.55e6
 
 
 @pytest.mark.parametrize("rows", [None, 1, 2])
@@ -733,7 +743,7 @@ def test_engine_extends_only_the_kept_words(rows, omega_rows):
     [
         [[1, 1, 0], [1, 0, 1], [1, 1, 1]],
         [[1, 1, 0], [1, 0, 0], [0, 1, 0]],  # letter 3 is dead: nothing may follow it
-        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: unmasked pieces are broadcast
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # complete: unmasked takes are broadcast
     ],
 )
 def test_a_keep_mask_leaves_every_formed_product_as_it_was(rows, omega_rows):
@@ -815,20 +825,20 @@ def test_lifted_prune_changes_no_value(seed, size, dim, kind, rows):
 
 def test_lifted_sweep_forms_few_products():
     """At n 9 on this omega, 25,805 of the 29,523 lifted products are
-    exactly zero; the oracle forms 4,959 products beyond the 3 letters,
-    not 29,520."""
+    exactly zero; the oracle forms 4,962 products, the 3 letters included,
+    not 29,523.  Every formed product is yielded once, in its chunk."""
     om = TransitionMatrix.from_rows([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
     mats = MatrixSet.from_members(list(np.random.default_rng(0).standard_normal((3, 2, 2))))
     lifted_dim = om.size * mats.dim
     formed = []
-    form = radius._form
+    expand = radius._expand
 
-    def counted(members, *recipe):
-        products = form(members, *recipe)
-        if members.shape[-1] == lifted_dim:
-            formed.append(len(products))
-        return products
+    def counted(automaton, members, *args, **kwargs):
+        for chunk in expand(automaton, members, *args, **kwargs):
+            if members.shape[-1] == lifted_dim:
+                formed.append(len(chunk.products))
+            yield chunk
 
-    with mock.patch.object(radius, "_form", counted):
+    with mock.patch.object(radius, "_expand", counted):
         assert full_verification(mats, om, 9).passed
     assert 0 < sum(formed) <= 5000
