@@ -51,7 +51,10 @@ class WordClass(Enum):
     @property
     def strictness(self) -> int:
         """Position in the containment chain (definition order); larger is stricter."""
-        return list(WordClass).index(self)
+        return _STRICTNESS[self]
+
+
+_STRICTNESS = {cls: position for position, cls in enumerate(WordClass)}
 
 
 @dataclass(frozen=True, eq=False)

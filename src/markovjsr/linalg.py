@@ -6,7 +6,10 @@ the package because it is cheap, exact on integer data, and invariant
 under the block structure produced by transition lifts.  One routine,
 ``block_norm``, computes them all: the norm of an N x N grid of blocks
 is the largest block row's sum of block norms, and ``operator_norm`` is
-its case of one block.
+its case of one block.  ROWSUM and COLSUM reduce a stack of W matrices
+with its moduli copied words last, one axis at a time across all W words,
+so each numpy call's fixed cost is paid per stack, not per d-long row;
+FROBENIUS sums each matrix's squares within it.
 
 Spectral radii come from LAPACK's eigenvalues, except that a matrix whose
 square is exactly zero gets the exact radius 0.  ``spectral_caps`` and
@@ -21,6 +24,7 @@ empty and 0 x 0 stacks need no special case.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -38,6 +42,9 @@ __all__ = [
 # The relative accuracy that a seeded test against mpmath holds
 # spectral_radii to; reports print it as rel_tol.
 REL_TOL = 1e-9
+
+_FLOAT = np.finfo(float)
+_UNIT = float(_FLOAT.eps) / 2  # the unit roundoff, as a Python float for fast scalar math
 
 
 class NormKind(Enum):
@@ -75,26 +82,37 @@ def block_norm(
     gives an array of norms, in double precision whatever the dtype.
     FROBENIUS squares the entries of each matrix after the exact scaling of
     ``_scaled``, so that it neither underflows nor overflows where the norm
-    itself is representable.
+    itself is representable.  ROWSUM and COLSUM copy the moduli words
+    last and add in index order, so a sum of 8 or more terms can differ in
+    its last bits from numpy's pairwise sum along a contiguous axis.
     """
-    a = np.abs(_double(m))
+    a = _double(m)
     n = blocks * block_dim
     if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValidationError(
             f"matrix of shape {np.shape(m)} does not split into {blocks}x{blocks} "
             f"blocks of dimension {block_dim}"
         )
-    if inner is NormKind.FROBENIUS:  # one exponent per matrix
-        a, exponent = _scaled(a)
-    quads = a.reshape(*a.shape[:-2], blocks, block_dim, blocks, block_dim)
-    if inner is NormKind.ROWSUM:
-        per_block = quads.sum(axis=-1).max(axis=-2, initial=0.0)
-    elif inner is NormKind.COLSUM:
-        per_block = quads.sum(axis=-3).max(axis=-1, initial=0.0)
+    words = a.shape[:-2]
+    if inner is NormKind.FROBENIUS:  # one exponent per matrix, squares summed within it
+        a, exponent = _scaled(np.abs(a))
+        quads = a.reshape(*words, blocks, block_dim, blocks, block_dim)
+        per_block = _unscaled(np.sqrt((quads * quads).sum(axis=(-3, -1))), exponent[..., None, None])
+        out = per_block.sum(axis=-1).max(axis=-1, initial=0.0)
     else:
-        per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
-        per_block = _unscaled(per_block, exponent[..., None, None])
-    out = per_block.sum(axis=-1).max(axis=-1, initial=0.0)
+        # (block column, the summed index in a block, block row, the other,
+        # word): every sum runs along an outer axis, across all the words at
+        # once and in index order, so a norm is the same bits in any stack
+        quads = a.reshape(math.prod(words), blocks, block_dim, blocks, block_dim)
+        order = (3, 4, 1, 2, 0) if inner is NormKind.ROWSUM else (3, 2, 1, 4, 0)
+        if np.iscomplexobj(a):  # numpy vectorises the complex modulus only on contiguous input
+            moduli = np.abs(quads).transpose(order).copy()
+        else:  # in place: no second buffer
+            moduli = quads.transpose(order).copy()
+            np.abs(moduli, out=moduli)
+        per_block = moduli.sum(axis=1).max(axis=2, initial=0.0)
+        out = per_block[0, 0] if blocks == 1 else per_block.sum(axis=0).max(axis=0, initial=0.0)
+        out = out.reshape(words)
     return float(out) if a.ndim == 2 else out
 
 
@@ -131,8 +149,7 @@ def _gamma(k: int) -> float:
     operations change a value by at most this relative amount (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.1).
     """
-    unit = np.finfo(float).eps / 2
-    return k * unit / (1 - k * unit)
+    return k * _UNIT / (1 - k * _UNIT)
 
 
 def _square_stack(stack: np.ndarray) -> np.ndarray:
@@ -167,7 +184,7 @@ def spectral_radii(stack: np.ndarray) -> np.ndarray:
 def _frobenius(mats: np.ndarray) -> np.ndarray:
     """The computed Frobenius norms of a stack of d x d matrices, raised by
     the rounding of their sums of squared moduli."""
-    a = np.abs(mats)
+    a = np.abs(mats) if np.iscomplexobj(mats) else mats  # a real square is exact
     return np.sqrt((a * a).sum(axis=(1, 2))) * (1 + _gamma(2 * a.shape[-1] ** 2 + 4))
 
 
@@ -204,7 +221,7 @@ def spectral_caps(stack: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.sqrt(quartic * (1 + _gamma(32))))
     out = _unscaled(root, exponent)
     # a subnormal result was rounded to nearest, perhaps down (even to 0)
-    rounded = (root > 0) & (out < np.finfo(float).tiny)
+    rounded = (root > 0) & (out < _FLOAT.tiny)
     return np.where(rounded, np.nextafter(out, np.inf), out)
 
 
@@ -219,5 +236,5 @@ def norm_caps(norms: np.ndarray, dim: int) -> np.ndarray:
     and ||M||_F <= d^(1/2) ||M||, so ||E||_F <= d^2 u ||M||_F gives
     ||E|| <= d^3 u ||M||.
     """
-    underflow = dim * np.sqrt(np.finfo(float).smallest_subnormal)
+    underflow = dim * math.sqrt(_FLOAT.smallest_subnormal)
     return norms * (1 + _gamma(dim**3 + dim * dim + 2)) + underflow

@@ -137,18 +137,21 @@ class _Automaton:
 
     Letters and states are 0-based; ``starts[c]`` is the state of the word
     (c,) and ``step[s, c]`` the state after appending c to a word in state
-    s, with -1 where c may not start or follow.  A word's first state is
-    its state after ``head.shape[1]`` letters (or all, if it is shorter);
-    it is periodically extendable iff the letters ``head[first state]``
-    that open its periodic repetition may follow it.
+    s, with -1 where c may not start or follow.  ``step`` has one more row
+    than there are states, all -1: the row that -1 indexes, so a walk that
+    leaves the automaton stays out of it.  A word's first state is its
+    state after ``head.shape[1]`` letters (or all, if it is shorter); it is
+    periodically extendable iff the letters ``head[first state]`` that open
+    its periodic repetition may follow it.
     """
 
     def __init__(self, starts: np.ndarray, step: np.ndarray, head: np.ndarray):
-        self.starts, self.step, self.head = starts, step, head
-        self.allowed = step >= 0
+        self.starts, self.head = starts, head
+        self.step = np.vstack([step, np.full(step.shape[1], -1)])
+        self.allowed = self.step >= 0
         has_out = alive = self.allowed.any(axis=1)
         # states with an infinite walk: the greatest set closed under some step
-        while not np.array_equal(alive, more := (self.allowed & alive[step]).any(axis=1)):
+        while not np.array_equal(alive, more := (self.allowed & alive[self.step]).any(axis=1)):
             alive = more
         # strictest class short of periodic; numpy adds two booleans as an or
         self.levels = has_out.astype(np.int8) + alive
@@ -162,8 +165,8 @@ class _Automaton:
     def level(self, first: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Each chain word's strictest class, as its WordClass.strictness."""
         closing = state
-        for letter in self.head[first].T:
-            closing = np.where(closing >= 0, self.step[closing, letter], -1)
+        for letters in self.head.T:
+            closing = self.step[closing, letters[first]]
         return np.where(closing >= 0, WordClass.PERIODICALLY_EXTENDABLE.strictness, self.levels[state])
 
 
@@ -297,16 +300,18 @@ def _expand(
     state = automaton.starts[letters]
     roots = _Brood(state, state, letters.astype(np.int64) if codes else None, letters)
     queues: list[list[_Brood]] = [[], [roots]]  # by length; index 0 unused
+    waiting = [0, len(roots)]                   # the words in each queue
     n = low = 1                                 # lengths below low are done
     while low < len(queues):
         if n < low:  # no queue is full, and the shortest one left gets no more words
             n, low = low, low + 1
-        elif sum(map(len, queues[n])) < rows:
+        elif waiting[n] < rows:
             n -= 1  # every queue deeper than n is short of a chunk
             continue
-        size = min(rows, sum(map(len, queues[n])))
+        size = min(rows, waiting[n])
         if not size:
             continue
+        waiting[n] -= size
         takes = []
         while size:
             takes.append(queues[n][0].take(size, members))
@@ -322,8 +327,10 @@ def _expand(
             keep = None if extend is None else extend(chunk)
             if len(queues) == n + 1:
                 queues.append([])
+                waiting.append(0)
             n += 1
             queues[n].append(_children(automaton, members, chunk, keep))
+            waiting[n] += len(queues[n][-1])
             if not len(queues[n][-1]):  # an empty brood would keep the chunk's products
                 del queues[n][-1]
 
@@ -338,20 +345,21 @@ def _class_words(automaton: _Automaton, n: int, word_class: WordClass) -> Iterat
             yield from map(tuple, (chunk.codes[keep, None] // power % letters + 1).tolist())
 
 
-def _least_rotations(codes: np.ndarray, letters: int, n: int) -> np.ndarray:
-    """Mask of the length-n words, given as base-``letters`` numerals, that
-    no rotation of them precedes lexicographically: one word per rotation
-    class, powers such as (1, 2, 1, 2) included.
+def _least_rotations(codes: np.ndarray, power: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the length-n words, given as base-L numerals, that no
+    rotation of them precedes lexicographically: one word per rotation
+    class, powers such as (1, 2, 1, 2) included.  ``power`` holds L**j for
+    j = 0..n, in a dtype that holds L**n.
 
     Numerals of one length compare as the words do.  They are int64 while
-    ``letters**n`` fits and Python integers beyond, as ``_children`` forms
-    them.
+    L**n fits and Python integers beyond, as ``_children`` forms them.
+    Rotating j letters to the back moves the last n - j digits to the
+    front: one row per rotation, with one division (``divmod`` would fail
+    on Python integers).
     """
-    power = np.array([letters**j for j in range(n + 1)], dtype=_code_dtype(letters, n))
-    code = codes[:, None]
-    # rotating j letters to the back moves the last n - j digits to the front
-    tail = power[n:0:-1]
-    return (code % tail * power[:n] + code // tail >= code).all(axis=1)
+    tail, head = power[n:0:-1, None], power[:n, None]
+    front = codes // tail
+    return ((codes - front * tail) * head + front).min(axis=0) >= codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +389,7 @@ class _Sweep:
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValidationError(f"non-finite {what}: the matrix products overflow at this scale")
 
 
@@ -421,7 +429,7 @@ def _sweep(
     letters, dim = automaton.step.shape[1], members.shape[-1]
     rows = _KERNEL_CHUNKS * _chunk_rows(members[0].nbytes)
     longest = max(spectral, default=0)
-    power = np.array([letters**j for j in range(longest)], dtype=_code_dtype(letters, longest))
+    power = np.array([letters**j for j in range(longest + 1)], dtype=_code_dtype(letters, longest))
     codes, tags, caps = np.empty(rows, power.dtype), np.empty(rows, np.intp), np.empty(rows)
     fill = 0
 
@@ -464,7 +472,7 @@ def _sweep(
                 continue
             reach = reaches(norm_caps(norms, dim), spectral_sup[n])
             kept = np.flatnonzero((level == periodic) & reach)
-            kept = kept[_least_rotations(chunk.codes[kept], letters, n)]
+            kept = kept[_least_rotations(chunk.codes[kept], power, n)]
             if not len(kept):
                 continue
             bound = spectral_caps(chunk.products[kept])

@@ -354,7 +354,9 @@ def _codes(words, letters: int) -> np.ndarray:
 
 def _least_rotations(words, letters: int) -> list:
     words = [tuple(w) for w in words]
-    return radius._least_rotations(_codes(words, letters), letters, len(words[0])).tolist()
+    n = len(words[0])
+    power = np.array([letters**j for j in range(n + 1)], dtype=_codes([[0] * n], letters).dtype)
+    return radius._least_rotations(_codes(words, letters), power, n).tolist()
 
 
 @pytest.mark.parametrize("letters", [1, 2, 3])
@@ -369,17 +371,31 @@ def test_least_rotations_match_brute_force(letters):
     assert all(_least_rotations([[0]] * letters, letters))
 
 
-@pytest.mark.parametrize("letters, n", [(3, 45), (2, 70), (200, 9)])
-def test_least_rotations_beyond_int64_numerals(letters, n):
+def _check_least_rotations_of_random_words(letters: int, n: int) -> None:
     rng = np.random.default_rng([letters, n])
     words = rng.integers(0, letters, (200, n))
     words[:50] = np.sort(words[:50], axis=1)  # sorted words are least rotations
-    period = next(p for p in (3, 5) if n % p == 0)
+    period = next(p for p in range(2, n + 1) if n % p == 0)
     words[50:60] = np.tile(words[50:60, : n // period], period)  # powers
+    top = letters - 1  # the largest numerals, and rotations of them
+    words[60], words[61], words[62] = top, [top] * (n - 1) + [0], [0] + [top] * (n - 1)
     words = words.tolist()
-    assert _codes(words, letters).dtype == object
     expected = [tuple(w) == _least_rotation(tuple(w)) for w in words]
     assert _least_rotations(words, letters) == expected
+
+
+@pytest.mark.parametrize("letters, n", [(3, 45), (2, 70), (200, 9)])
+def test_least_rotations_beyond_int64_numerals(letters, n):
+    assert _codes([[0] * n], letters).dtype == object
+    _check_least_rotations_of_random_words(letters, n)
+
+
+@pytest.mark.parametrize("letters, n", [(2, 62), (2, 63), (2, 64), (3, 39), (3, 40)])
+def test_least_rotations_where_numerals_leave_int64(letters, n):
+    # the last lengths of int64 numerals, whose rotations come within one
+    # numeral of 2**63, and the first lengths of Python integers
+    assert _codes([[0] * n], letters).dtype == (np.int64 if letters**n < 2**63 else object)
+    _check_least_rotations_of_random_words(letters, n)
 
 
 def _alternating_instance() -> tuple[MatrixSet, TransitionMatrix]:
@@ -653,17 +669,19 @@ def _windows_allowed(word, allowed, k, cyclic):
     return all(word[j:j + k + 1] in allowed for j in range(len(word) - k))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**25 - 1), st.booleans())
-def test_window_automaton_matches_brute_force(alphabet, k, seed, tiny):
-    """All four classes at every length, from word-level definitions that
-    do not use the automaton; the engine's one-number class of a word
-    relies on their nesting."""
+def _random_window_rule(alphabet: int, k: int, seed: int) -> KStepConstraint:
     rng = np.random.default_rng(seed)
-    letters = range(1, alphabet + 1)
-    tuples = list(itertools.product(letters, repeat=k + 1))
+    tuples = list(itertools.product(range(1, alphabet + 1), repeat=k + 1))
     allowed = frozenset(t for t in tuples if rng.random() < 0.6) or frozenset(tuples[:1])
-    constraint = KStepConstraint(base_alphabet=alphabet, k=k, allowed=allowed)
+    return KStepConstraint(base_alphabet=alphabet, k=k, allowed=allowed)
+
+
+def _window_members(constraint: KStepConstraint) -> dict:
+    """Membership tests of the four classes for 1-based words under an
+    order-k window rule, from word-level definitions that do not use the
+    automaton."""
+    alphabet, k, allowed = constraint.base_alphabet, constraint.k, constraint.allowed
+    letters = range(1, alphabet + 1)
     prefixes = {t[:j] for t in allowed for j in range(1, k + 2)}
 
     def chain(word):
@@ -679,17 +697,67 @@ def test_window_automaton_matches_brute_force(alphabet, k, seed, tiny):
 
     # beyond alphabet**k + k letters an extension repeats a k-letter window
     # and so can go on forever
-    members = {
+    return {
         WordClass.CHAIN: chain,
         WordClass.MARKOV: lambda w: chain(w) and extends(w[-k:], 1),
         WordClass.INFINITELY_EXTENDABLE: lambda w: chain(w) and extends(w[-k:], alphabet**k + k + 2),
         WordClass.PERIODICALLY_EXTENDABLE: lambda w: _windows_allowed(w, allowed, k, cyclic=True),
     }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**25 - 1), st.booleans())
+def test_window_automaton_matches_brute_force(alphabet, k, seed, tiny):
+    """All four classes at every length, from word-level definitions that
+    do not use the automaton; the engine's one-number class of a word
+    relies on their nesting."""
+    constraint = _random_window_rule(alphabet, k, seed)
+    members = _window_members(constraint)
+    letters = range(1, alphabet + 1)
     with tiny_chunks() if tiny else contextlib.nullcontext():
         for n in range(1, 2 * k + 3):
             words = list(itertools.product(letters, repeat=n))
             for cls, member in members.items():
                 assert window_class_words(constraint, n, cls) == [w for w in words if member(w)]
+
+
+def _levels(automaton, n_max: int) -> dict:
+    """Every word the engine walks to n_max, as a 1-based tuple, with the
+    level that ``_Automaton.level`` gives it from its first and last state."""
+    letters = automaton.step.shape[1]
+    found = {}
+    for chunk in radius._expand(automaton, None, n_max, codes=True):
+        levels = automaton.level(chunk.first, chunk.state).tolist()
+        for code, level in zip(chunk.codes.tolist(), levels):
+            found[tuple(code // letters**j % letters + 1 for j in range(chunk.n - 1, -1, -1))] = level
+    return found
+
+
+def _strictest(word, members: dict) -> int | None:
+    """The strictness of the strictest class a word is in, None for none."""
+    return max((cls.strictness for cls, member in members.items() if member(word)), default=None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_level_is_the_strictest_class_of_each_word(seed):
+    # from_omega automata on random rules, and window automata of order 2
+    # and 3, whose words shorter than k have a first state of their own
+    rng = np.random.default_rng(seed)
+    om = TransitionMatrix.from_rows(random_binary_rows(rng, 2 + seed % 3))
+
+    def omega_members(cls):
+        return lambda word: cls in classify(list(word), om)
+
+    cases = [(radius._Automaton.from_omega(om), {c: omega_members(c) for c in WordClass}, om.size, 6)]
+    for k in (2, 3):
+        constraint = _random_window_rule(2 + seed % 2, k, seed)
+        automaton = kstep._window_automaton(constraint)
+        cases.append((automaton, _window_members(constraint), constraint.base_alphabet, 2 * k + 2))
+    for automaton, members, alphabet, n_max in cases:
+        levels = _levels(automaton, n_max)
+        for n in range(1, n_max + 1):
+            for word in itertools.product(range(1, alphabet + 1), repeat=n):
+                assert levels.get(word) == _strictest(word, members), word
 
 
 def _kept(code: int, n: int) -> bool:

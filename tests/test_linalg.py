@@ -132,6 +132,46 @@ def test_norms_of_a_stack_equal_norms_of_each_matrix(kind):
     )
 
 
+def _within_matrix_norms(stack, blocks, block_dim, kind) -> np.ndarray:
+    """Block norms reduced inside each matrix, along its own d-long axes:
+    the reference that block_norm's words-last layout must reproduce.
+    FROBENIUS is taken unscaled, which for Gaussian entries changes no bit."""
+    a = np.abs(stack)
+    quads = a.reshape(len(a), blocks, block_dim, blocks, block_dim)
+    if kind is NormKind.ROWSUM:
+        per_block = quads.sum(axis=-1).max(axis=-2, initial=0.0)
+    elif kind is NormKind.COLSUM:
+        per_block = quads.sum(axis=-3).max(axis=-1, initial=0.0)
+    else:
+        per_block = np.sqrt((quads * quads).sum(axis=(-3, -1)))
+    return per_block.sum(axis=-1).max(axis=-1, initial=0.0)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_a_words_norm_never_depends_on_its_chunk(kind, blocks):
+    # Every norm of a stack is bitwise its matrix's own, in a stack of any
+    # size, so a word's norm does not depend on the chunk it is walked in.
+    # Against the within-matrix reduction, sums of fewer than 8 terms are
+    # bitwise too; numpy adds 8 or more contiguous terms pairwise, which
+    # moves the last bits by well under n*u (u the unit roundoff).
+    rng = np.random.default_rng([blocks, len(kind.value)])
+    unit = np.finfo(float).eps / 2
+    for block_dim in range(21):
+        n = blocks * block_dim
+        for count in (0, 1, 7, 240):
+            real = rng.standard_normal((count, n, n))
+            for stack in (real, real + 1j * rng.standard_normal((count, n, n))):
+                norms = block_norm(stack, blocks, block_dim, kind)
+                own = np.array([block_norm(m, blocks, block_dim, kind) for m in stack])
+                assert norms.shape == (count,) and norms.tobytes() == own.tobytes()
+                reference = _within_matrix_norms(stack, blocks, block_dim, kind)
+                if block_dim < 8:
+                    assert norms.tobytes() == reference.tobytes()
+                else:
+                    assert np.all(np.abs(norms - reference) <= n * unit * reference)
+
+
 def test_frobenius_norms_scale_exactly_by_powers_of_two():
     # unscaled, the squares of these entries underflow (-600, -1000) or
     # overflow (600, 1000); at scale 0 the norm is the plain sum of squares
